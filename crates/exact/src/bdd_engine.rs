@@ -604,9 +604,8 @@ pub(crate) fn analyze_bdd(
     let run_cache: Arc<FeasibilityCache> = opts.feasibility_cache.clone().unwrap_or_default();
     let (hits_before, misses_before) = run_cache.counts();
 
-    // Same gate as the enumeration engine: canonicalize by orbit only when
-    // the scheduler commutes with node permutations and parameters are
-    // concrete.
+    // Same gate as the enumeration engine: canonicalize by orbit whenever
+    // the scheduler commutes with node permutations, bound or symbolic.
     let sym = crate::engine::symmetry_for(model, scheduler);
 
     let mut store = Store::new();

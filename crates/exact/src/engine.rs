@@ -183,6 +183,15 @@ pub enum ExactError {
     },
     /// The configuration frontier exceeded [`ExactOptions::max_configs`].
     ConfigLimit(usize),
+    /// A symbolic query answer would split parameter space on more distinct
+    /// constraints than the cell decomposition supports
+    /// ([`MAX_CELL_ATOMS`](crate::MAX_CELL_ATOMS); cells grow as `3^atoms`).
+    TooManyCellAtoms {
+        /// Distinct constraint expressions the answer needs.
+        atoms: usize,
+        /// The supported maximum.
+        max: usize,
+    },
     /// All probability mass was discarded by observations (Z = 0), so the
     /// posterior is undefined.
     AllMassObservedOut,
@@ -210,6 +219,11 @@ impl fmt::Display for ExactError {
                     "exact state space exceeded the configuration limit ({n})"
                 )
             }
+            ExactError::TooManyCellAtoms { atoms, max } => write!(
+                f,
+                "symbolic answer splits on {atoms} distinct parameter constraints, \
+                 more than the {max} a piecewise result supports; bind some parameters"
+            ),
             ExactError::AllMassObservedOut => {
                 f.write_str("all probability mass was discarded by observations (Z = 0)")
             }
@@ -292,17 +306,24 @@ impl Expansion {
 }
 
 /// The symmetry group to canonicalize frontier configurations with, when
-/// every gate passes: the model was optimized and has a non-trivial
-/// automorphism group, the scheduler *actually running* is
+/// both gates pass: the model was optimized and has a non-trivial
+/// automorphism group, and the scheduler *actually running* is
 /// permutation-invariant (a `set_scheduler` override can differ from the
-/// model's declared kind), and no unbound symbolic parameters remain (the
-/// case-split order of symbolic query evaluation would otherwise depend on
-/// which orbit representative survives).
+/// model's declared kind).
+///
+/// Unbound symbolic parameters do not gate it. Guards constrain global
+/// parameters only, and the group preserves programs, wiring and queries,
+/// so the step kernel commutes with it on `(guard, config)` pairs and the
+/// orbit key stays parameter-agnostic. The piecewise answer does not depend
+/// on which representative survives either: query `and`/`or` split on both
+/// operands whatever their order ([`bayonet_net::apply_binop`]), and
+/// [`bayonet_symbolic::atom_exprs`] sorts the cell atoms structurally, so
+/// cells come out in one canonical order.
 pub(crate) fn symmetry_for<'a>(
     model: &'a Model,
     scheduler: &dyn Scheduler,
 ) -> Option<&'a bayonet_net::opt::SymmetryGroup> {
-    if !scheduler.permutation_invariant() || model.has_symbolic_params() {
+    if !scheduler.permutation_invariant() {
         return None;
     }
     model.opt_info().and_then(|i| i.symmetry.as_ref())

@@ -235,7 +235,10 @@ pub fn answer_cached(
     all_guards.extend(analysis.discarded.iter().map(|(g, _)| g.clone()));
     let exprs = atom_exprs(&all_guards);
     if exprs.len() > MAX_CELL_ATOMS {
-        return Err(ExactError::ConfigLimit(exprs.len()));
+        return Err(ExactError::TooManyCellAtoms {
+            atoms: exprs.len(),
+            max: MAX_CELL_ATOMS,
+        });
     }
     let cells = enumerate_cells_cached(&exprs, cache);
 

@@ -49,3 +49,37 @@ pub fn test_options() -> ExactOptions {
         ..ExactOptions::default()
     }
 }
+
+/// Gossip on K4 whose relays branch on an unbound threshold `T` while the
+/// network runs, with a query over a second parameter `K`: the symbolic
+/// guards are non-trivial during exploration, not only at query time, and
+/// the three gossip nodes form one symmetry orbit.
+#[allow(dead_code)]
+pub const GOSSIP_TK_SOURCE: &str = r#"
+packet_fields { dst }
+parameters { T, K }
+topology {
+    nodes { S0, S1, S2, S3 }
+    links {
+        (S0, pt1) <-> (S1, pt1), (S0, pt2) <-> (S2, pt1),
+        (S0, pt3) <-> (S3, pt1), (S1, pt2) <-> (S2, pt2),
+        (S1, pt3) <-> (S3, pt2), (S2, pt3) <-> (S3, pt3)
+    }
+}
+programs { S0 -> seed, S1 -> gossip, S2 -> gossip, S3 -> gossip }
+init { packet -> (S0, pt1); }
+query probability(infected@S0 + infected@S1 + infected@S2 + infected@S3 >= K);
+
+def seed(pkt, pt) state infected(0) {
+    if infected == 0 { infected = 1; fwd(uniformInt(1, 3)); }
+    else { drop; }
+}
+def gossip(pkt, pt) state infected(0), seen(0) {
+    seen = seen + 1;
+    if infected == 0 {
+        infected = 1;
+        if seen < T { dup; fwd(uniformInt(1, 3)); }
+        fwd(uniformInt(1, 3));
+    } else { drop; }
+}
+"#;

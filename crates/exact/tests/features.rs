@@ -2,7 +2,7 @@
 //! rotor scheduler, source-level `num_steps` bounds, symbolic expectation
 //! values, and engine diagnostics.
 
-use bayonet_exact::{analyze, answer, ExactError, ExactOptions};
+use bayonet_exact::{analyze, answer, ExactError, ExactOptions, MAX_CELL_ATOMS};
 use bayonet_lang::parse;
 use bayonet_net::{compile, scheduler_for, Model, Val};
 use bayonet_num::Rat;
@@ -209,6 +209,54 @@ fn config_limit_is_enforced() {
     )
     .unwrap_err();
     assert!(matches!(err, ExactError::ConfigLimit(10)));
+}
+
+/// A query splitting on more distinct parameter constraints than a
+/// piecewise answer supports reports that cause, with the atom count and
+/// the limit kept apart — not the configuration-limit error.
+#[test]
+fn too_many_cell_atoms_is_its_own_error() {
+    // Each of the uniformInt outcomes stores a different parameter, so the
+    // query splits every terminal on its own atom `Pi > 0`.
+    let n = MAX_CELL_ATOMS + 1;
+    let params: Vec<String> = (1..=n).map(|i| format!("P{i}")).collect();
+    let arms: String = (1..=n)
+        .map(|i| format!("if r == {i} {{ x = P{i}; }} "))
+        .collect();
+    let src = format!(
+        r#"
+        packet_fields {{ dst }}
+        parameters {{ {} }}
+        topology {{ nodes {{ A, B }} links {{ (A, pt1) <-> (B, pt1) }} }}
+        programs {{ A -> a, B -> b }}
+        init {{ packet -> (A, pt1); }}
+        query probability(x@A > 0);
+        def a(pkt, pt) state x(0) {{ r = uniformInt(1, {n}); {arms} drop; }}
+        def b(pkt, pt) {{ drop; }}
+        "#,
+        params.join(", "),
+    );
+    let m = model(&src);
+    let analysis = analyze(&m, &*scheduler_for(&m), &common::test_options()).unwrap();
+    let err = answer(&m, &analysis, &m.queries[0], true).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ExactError::TooManyCellAtoms { atoms, max }
+                if atoms == MAX_CELL_ATOMS + 1 && max == MAX_CELL_ATOMS
+        ),
+        "{err:?}"
+    );
+    let message = err.to_string();
+    assert!(
+        message.contains(&format!("{n} distinct parameter constraints")),
+        "{message}"
+    );
+    assert!(
+        message.contains(&format!("the {MAX_CELL_ATOMS} a piecewise result supports")),
+        "{message}"
+    );
+    assert!(!message.contains("configuration limit"), "{message}");
 }
 
 #[test]

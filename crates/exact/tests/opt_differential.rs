@@ -206,3 +206,83 @@ fn firewall_nat_posterior_is_pinned() {
         assert_eq!(text, expected, "passes={passes}");
     }
 }
+
+/// A symbolic model whose guards are non-trivial during exploration (the
+/// gossip handlers branch on the unbound `T`): symmetry reduction runs
+/// on it, and the rendered piecewise table must still be byte-identical
+/// across engines, thread counts and passes, with the cells in their
+/// canonical order whichever orbit representative survived.
+#[test]
+fn symbolic_exploration_guards_are_opt_invisible() {
+    let source = common::GOSSIP_TK_SOURCE;
+    assert!(assert_opt_invisible("gossip_tk", source, None));
+
+    let text = run(source, None, EngineKind::Enum, 1, true).unwrap();
+    let rows: Vec<&str> = text.lines().filter(|l| l.starts_with("  [")).collect();
+    assert_eq!(rows.len(), 21, "{text}");
+    assert_eq!(
+        rows[0],
+        "  [K - 4 < 0 and K - 3 < 0 and K - 2 < 0 and T - 1 < 0] 1 ≈ 1.0000"
+    );
+    assert_eq!(
+        rows[8],
+        "  [K - 4 < 0 and K - 3 < 0 and K - 2 > 0 and T - 1 > 0] 8/9 ≈ 0.8889"
+    );
+    assert_eq!(
+        rows[20],
+        "  [K - 4 > 0 and K - 3 > 0 and K - 2 > 0 and T - 1 > 0] 0 ≈ 0.0000"
+    );
+
+    // The passes shrink the exploration by the orbit factor.
+    let (model, scheduler) = build(source, None);
+    let expansions = |passes| {
+        let opts = ExactOptions {
+            engine: EngineKind::Enum,
+            passes,
+            ..ExactOptions::default()
+        };
+        let stats = analyze(&model, &*scheduler, &opts).unwrap().stats;
+        (stats.expansions, stats.orbit_merges)
+    };
+    assert_eq!(expansions(false), (15879, 0));
+    let (reduced, merges) = expansions(true);
+    assert_eq!(reduced, 2719);
+    assert!(merges > 0);
+}
+
+/// `or` over symbolic numbers in a query: whichever orbit member survives
+/// symmetry reduction presents the operands in one order (`5 or P` or
+/// `P or 5`), and the answer must still split on `P` exactly as the
+/// unreduced run, which sees both orders, does.
+#[test]
+fn symbolic_truthiness_in_queries_is_opt_invisible() {
+    let source = r#"
+        packet_fields { dst }
+        parameters { P }
+        topology {
+            nodes { S, A, B }
+            links { (S, pt1) <-> (A, pt1), (S, pt2) <-> (B, pt1), (A, pt2) <-> (B, pt2) }
+        }
+        programs { S -> src, A -> relay, B -> relay }
+        init { packet -> (S, pt1); }
+        query probability(x@A or x@B);
+        query expectation(x@A + x@B);
+        def src(pkt, pt) { fwd(uniformInt(1, 2)); }
+        def relay(pkt, pt) state x(0) {
+            if pkt.dst == 0 { x = 5; pkt.dst = 1; fwd(2); } else { x = P; drop; }
+        }
+    "#;
+    assert!(assert_opt_invisible("symbolic_or", source, None));
+    let text = run(source, None, EngineKind::Enum, 1, true).unwrap();
+    assert!(
+        text.starts_with("probability(x@A or x@B):\n  [P < 0] 1 ≈ 1.0000\n  [P == 0] 1 ≈ 1.0000\n"),
+        "{text}"
+    );
+
+    // The symmetry really ran: the A/B swap merged the two delivery orders.
+    let (model, scheduler) = build(source, None);
+    let stats = analyze(&model, &*scheduler, &ExactOptions::default())
+        .unwrap()
+        .stats;
+    assert!(stats.orbit_merges > 0);
+}

@@ -187,14 +187,11 @@ fn shared_work_is_not_recounted() {
     let (params, points) = cartesian_grid(&model, &[Rat::int(1), Rat::int(2), Rat::int(3)]);
     // Work sharing is an enumerative-engine property; the bdd backend
     // legitimately re-sweeps per point, so this test pins the engine rather
-    // than inheriting the BAYONET_TEST_ENGINE leg. Passes are pinned off
-    // too: symmetry canonicalization is gated off on the sweep's symbolic
-    // shared exploration but on for a bound pointwise run, which would
-    // skew the stats-equality comparison below (posteriors stay identical
-    // either way — that is pinned by the matching tests above).
+    // than inheriting the BAYONET_TEST_ENGINE leg. Passes are pinned on
+    // for the same reason: the counts below are the symmetry-reduced ones.
     let opts = ExactOptions {
         engine: EngineKind::Enum,
-        passes: false,
+        passes: true,
         ..options(1)
     };
     let result = sweep(&model, &params, &points, &opts).unwrap();
@@ -206,14 +203,27 @@ fn shared_work_is_not_recounted() {
     assert!(result.shared_steps > 0);
     assert_eq!(result.reused_points(), points.len() - 1);
 
-    // Shared stats equal one pointwise exploration; per-point work is zero.
+    // Shared stats equal one symmetry-reduced pointwise exploration;
+    // per-point work is zero.
     let mut bound = model.clone();
     bound.bind_param("K", Rat::int(2)).unwrap();
     let scheduler = scheduler_for(&bound);
     let single = analyze(&bound, &*scheduler, &opts).unwrap();
     assert_eq!(result.prefix_stats.steps, single.stats.steps);
     assert_eq!(result.prefix_stats.expansions, single.stats.expansions);
+    assert_eq!(result.prefix_stats.expansions, 1529);
+    assert_eq!(result.prefix_stats.orbit_merges, single.stats.orbit_merges);
+    assert!(result.prefix_stats.orbit_merges > 0);
     for point in &result.points {
         assert_eq!(point.as_ref().unwrap().stats.expansions, 0);
     }
+}
+
+/// Sweeping a parameter the handlers branch on (`T`) together with one only
+/// the query reads (`K`): every point of the T × K grid must match its
+/// independent pointwise run, with symmetry reduction active on both sides.
+#[test]
+fn symbolic_exploration_guards_match_pointwise() {
+    let values = [Rat::int(0), Rat::int(1), Rat::int(2), Rat::int(3)];
+    assert_sweep_matches_pointwise("gossip_tk", common::GOSSIP_TK_SOURCE, &values);
 }

@@ -378,8 +378,18 @@ pub fn apply_binop(
         BinOp::Sub => a.sub(b),
         BinOp::Mul => a.mul(b)?,
         BinOp::Div => a.div(b)?,
-        BinOp::And => Val::from_bool(truth_of(a, driver)? && truth_of(b, driver)?),
-        BinOp::Or => Val::from_bool(truth_of(a, driver)? || truth_of(b, driver)?),
+        // Both truths are decided even when the first settles the result,
+        // so a query's sign splits do not depend on operand order (symmetry
+        // reduction evaluates queries on one orbit representative, which
+        // may present the operands of a symmetric `and`/`or` swapped).
+        BinOp::And => {
+            let (ta, tb) = (truth_of(a, driver)?, truth_of(b, driver)?);
+            Val::from_bool(ta && tb)
+        }
+        BinOp::Or => {
+            let (ta, tb) = (truth_of(a, driver)?, truth_of(b, driver)?);
+            Val::from_bool(ta || tb)
+        }
         BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
             let sign = compare(a, b, driver)?;
             let holds = match op {

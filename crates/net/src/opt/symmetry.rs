@@ -31,9 +31,12 @@
 //! The engines additionally gate canonicalization at analysis time on the
 //! runtime scheduler being permutation-invariant
 //! ([`crate::Scheduler::permutation_invariant`], which a
-//! [`crate::Network::set_scheduler`] override can break) and on the model
-//! having no unbound parameters (symbolic state values would make query
-//! case-split order depend on the chosen orbit representative).
+//! [`crate::Network::set_scheduler`] override can break). Unbound
+//! parameters need no gate: symbolic guards constrain global parameters
+//! only, so the kernel commutes with the group on `(guard, config)` pairs.
+//! Query answers stay representative-independent because query `and`/`or`
+//! decide both operands' signs (the split set does not depend on operand
+//! order) and cells are enumerated over structurally sorted atoms.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};

@@ -86,6 +86,49 @@ fn bit_flipped_record_is_skipped_and_counted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A segment written under an older format version is never replayed: its
+/// bodies may list piecewise cells in an order a fresh run no longer
+/// produces. The server recomputes instead, and the rewritten segment then
+/// serves the fresh bytes across the next restart.
+#[test]
+fn older_format_version_is_recomputed_not_replayed() {
+    let dir = unique_dir("persist-version");
+
+    let handle = start(config_with_dir(&dir)).expect("start server");
+    let (status, body) = post_run(handle.addr(), TINY);
+    assert_eq!(status, 200, "{body}");
+    handle.shutdown();
+
+    // Rewrite the header's format version (bytes 4..8) to version 1.
+    let segment = dir.join(SEGMENT_FILE);
+    let mut bytes = std::fs::read(&segment).expect("read segment");
+    assert!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()) > 1);
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&segment, &bytes).expect("rewrite segment");
+
+    let handle = start(config_with_dir(&dir)).expect("restart server");
+    let text = metrics(handle.addr());
+    assert_eq!(metric(&text, "bayonet_cache_persist_load_ok_total"), 0);
+    assert_eq!(metric(&text, "bayonet_cache_persist_load_corrupt_total"), 1);
+    let (status, recomputed) = post_run(handle.addr(), TINY);
+    assert_eq!(status, 200, "{recomputed}");
+    assert_eq!(body, recomputed);
+    let text = metrics(handle.addr());
+    assert_eq!(metric(&text, "bayonet_cache_hits_total"), 0);
+    assert!(metric(&text, "bayonet_engine_expansions_total") > 0);
+    handle.shutdown();
+
+    let handle = start(config_with_dir(&dir)).expect("third start");
+    let text = metrics(handle.addr());
+    assert_eq!(metric(&text, "bayonet_cache_persist_load_ok_total"), 1);
+    let (status, replayed) = post_run(handle.addr(), TINY);
+    assert_eq!(status, 200, "{replayed}");
+    assert_eq!(body, replayed);
+    handle.shutdown();
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn torn_tail_is_truncated_and_the_server_recovers() {
     let dir = unique_dir("persist-torn");

@@ -260,3 +260,52 @@ fn sweeping_an_undeclared_parameter_is_rejected() {
     );
     handle.shutdown();
 }
+
+/// A symbolic sweep over a symmetric model runs symmetry-reduced: sweeping
+/// `K` (read only by the query) on gossip K4 stays on the symbolic route,
+/// answers every point from one exploration, and the orbit-merge counter
+/// shows the reduction ran on that exploration.
+#[test]
+fn symbolic_sweep_is_symmetry_reduced() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/bay/gossip_k4_sweep.bay"
+    );
+    let source = std::fs::read_to_string(path).expect("sweep example");
+    let handle = start(common::test_config()).expect("start server");
+    let addr = handle.addr();
+    let text = common::metrics(addr);
+    assert_eq!(metric(&text, "bayonet_opt_orbit_states_merged_total"), 0);
+
+    let body = format!(
+        "{{\"source\":{},\"sweep\":{{\"K\":[1,2,3,4]}}}}",
+        Json::Str(source)
+    );
+    let (status, payload) = sweep(addr, &body);
+    assert_eq!(status, 200, "{payload}");
+    let frames = parse_frames(&payload);
+    assert_eq!(frames.len(), 4);
+    for frame in &frames {
+        assert_eq!(frame.status, 200, "{payload}");
+        let doc = parse_json(&frame.body).unwrap();
+        assert_eq!(
+            doc.get("route").and_then(Json::as_str),
+            Some("symbolic"),
+            "{}",
+            frame.body
+        );
+    }
+
+    let text = common::metrics(addr);
+    assert!(
+        text.contains("bayonet_sweep_requests_total{route=\"symbolic\"} 1"),
+        "{text}"
+    );
+    assert!(
+        metric(&text, "bayonet_opt_orbit_states_merged_total") > 0,
+        "{text}"
+    );
+    // One symmetry-reduced exploration: the 1529 expansions of a bound run.
+    assert_eq!(metric(&text, "bayonet_engine_expansions_total"), 1529);
+    handle.shutdown();
+}

@@ -48,17 +48,19 @@ impl Cell {
     }
 }
 
-/// Collects the distinct canonical expressions occurring in `guards`.
+/// Collects the distinct canonical expressions occurring in `guards`, in
+/// their structural order.
+///
+/// The order is independent of the order of `guards`, so
+/// [`enumerate_cells`] over the result lists cells in one canonical order
+/// whichever engine, thread count or symmetry-orbit representative
+/// produced the guards.
 pub fn atom_exprs(guards: &[Guard]) -> Vec<LinExpr> {
-    let mut exprs: Vec<LinExpr> = Vec::new();
-    for g in guards {
-        for (e, _) in g.atoms() {
-            if !exprs.contains(e) {
-                exprs.push(e.clone());
-            }
-        }
-    }
-    exprs
+    let exprs: std::collections::BTreeSet<&LinExpr> = guards
+        .iter()
+        .flat_map(|g| g.atoms().map(|(e, _)| e))
+        .collect();
+    exprs.into_iter().cloned().collect()
 }
 
 /// Enumerates all feasible cells over `exprs` (up to `3^n` candidates,
@@ -162,5 +164,60 @@ mod tests {
             .unwrap();
         let exprs = atom_exprs(&[g1, g2]);
         assert_eq!(exprs.len(), 1);
+    }
+
+    /// Every permutation of the same guards yields the same atom list and
+    /// hence the same cells in the same order: the piecewise table must not
+    /// depend on the order terminals were produced in.
+    #[test]
+    fn cell_order_is_independent_of_guard_order() {
+        let mut t = ParamTable::new();
+        let k = LinExpr::param(t.intern("K"));
+        let tt = LinExpr::param(t.intern("T"));
+        let minus = |e: &LinExpr, c: i64| e.sub(&LinExpr::constant(Rat::int(c)));
+        let guards = vec![
+            Guard::top()
+                .assume_sign(&minus(&k, 3), Sign::Plus)
+                .unwrap()
+                .assume_sign(&minus(&tt, 1), Sign::Minus)
+                .unwrap(),
+            Guard::top().assume_sign(&minus(&k, 2), Sign::Zero).unwrap(),
+            Guard::top()
+                .assume_sign(&minus(&tt, 1), Sign::Plus)
+                .unwrap(),
+            Guard::top()
+                .assume_sign(&k.add(&tt), Sign::Minus)
+                .unwrap()
+                .assume_sign(&minus(&k, 4), Sign::Minus)
+                .unwrap(),
+        ];
+        let reference: Vec<Guard> = enumerate_cells(&atom_exprs(&guards))
+            .into_iter()
+            .map(|c| c.guard().clone())
+            .collect();
+        assert!(reference.len() > 1);
+
+        // Heap's algorithm: visit every permutation of the four guards.
+        let mut perm = guards.clone();
+        let mut c = vec![0usize; perm.len()];
+        let mut visited = 1;
+        let mut i = 0;
+        while i < perm.len() {
+            if c[i] < i {
+                perm.swap(if i % 2 == 0 { 0 } else { c[i] }, i);
+                let cells: Vec<Guard> = enumerate_cells(&atom_exprs(&perm))
+                    .into_iter()
+                    .map(|c| c.guard().clone())
+                    .collect();
+                assert_eq!(cells, reference, "guard order {perm:?}");
+                visited += 1;
+                c[i] += 1;
+                i = 0;
+            } else {
+                c[i] = 0;
+                i += 1;
+            }
+        }
+        assert_eq!(visited, 24);
     }
 }
