@@ -7,11 +7,55 @@
 //! packet-field writes, bounded duplication, and soft `observe`
 //! conditioning that can never discard *all* probability mass.
 //!
-//! The generator is a tiny self-contained LCG, so a seed fully determines
-//! the program text — no external randomness crates, and failures
-//! reproduce from the seed alone.
+//! The generator draws from [`Lcg`], a tiny self-contained LCG, so a seed
+//! fully determines the program text — no external randomness crates, and
+//! failures reproduce from the seed alone.
 
 use std::fmt::Write as _;
+
+/// The seeded random stream behind the test-support generators (this
+/// module's [`ProgramGen`] and the serve crate's HTTP fuzz generator): an
+/// LCG with Knuth's MMIX constants over a splashed seed.
+///
+/// # Examples
+///
+/// ```
+/// use bayonet_lang::testgen::Lcg;
+///
+/// let mut a = Lcg::new(7);
+/// let mut b = Lcg::new(7);
+/// assert_eq!(a.next_u64(), b.next_u64());
+/// assert!(a.below(6) < 6);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Lcg {
+    state: u64,
+}
+
+impl Lcg {
+    /// Creates a stream; the seed fully determines it.
+    pub fn new(seed: u64) -> Lcg {
+        // Splash the seed so small seeds don't produce correlated streams.
+        Lcg {
+            state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1),
+        }
+    }
+
+    /// Next raw 64-bit draw (taking the high bits, which have the longest
+    /// period).
+    pub fn next_u64(&mut self) -> u64 {
+        self.state = self
+            .state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.state >> 11
+    }
+
+    /// Uniform draw in `0..n`.
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
+}
 
 /// A deterministic generator of valid Bayonet programs.
 ///
@@ -26,7 +70,7 @@ use std::fmt::Write as _;
 /// assert_eq!(source, ProgramGen::new(42).generate());
 /// ```
 pub struct ProgramGen {
-    state: u64,
+    rng: Lcg,
     /// When set, the program declares `parameters { PT }` and threads the
     /// parameter through the final query (and, seed-dependent, a forwarding
     /// comparison) — sweep-ready programs for the grid-vs-pointwise
@@ -37,9 +81,8 @@ pub struct ProgramGen {
 impl ProgramGen {
     /// Creates a generator; the seed fully determines the output.
     pub fn new(seed: u64) -> ProgramGen {
-        // Splash the seed so small seeds don't produce correlated streams.
         ProgramGen {
-            state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1),
+            rng: Lcg::new(seed),
             parameterized: false,
         }
     }
@@ -57,27 +100,12 @@ impl ProgramGen {
         }
     }
 
-    /// Next raw 64-bit draw (an LCG with Knuth's MMIX constants, taking
-    /// the high bits which have the longest period).
-    fn next_u64(&mut self) -> u64 {
-        self.state = self
-            .state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.state >> 11
-    }
-
-    /// Uniform draw in `0..n`.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
-
     /// Generates one complete program as source text.
     pub fn generate(&mut self) -> String {
         // 2- or 3-node chains: long chains combined with `dup` make the
         // uniform scheduler's interleaving space explode, and these tests
         // need hundreds of programs to run in seconds.
-        let nodes = 2 + self.below(2) as usize;
+        let nodes = 2 + self.rng.below(2) as usize;
         let mut src = String::new();
         src.push_str("packet_fields { tag }\n");
         if self.parameterized {
@@ -142,20 +170,20 @@ impl ProgramGen {
     fn emit_forwarder(&mut self, src: &mut String, node: usize) {
         let right_port = if node == 0 { 1 } else { 2 };
         let var = format!("x{node}");
-        let init = match self.below(3) {
+        let init = match self.rng.below(3) {
             0 => "0".to_string(),
-            1 => self.below(3).to_string(),
+            1 => self.rng.below(3).to_string(),
             _ => "flip(1/2)".to_string(),
         };
-        let dup = self.below(4) == 0;
+        let dup = self.rng.below(4) == 0;
         let state = if dup {
             format!("{var}({init}), d{node}(0)")
         } else {
             format!("{var}({init})")
         };
         let _ = writeln!(src, "def prog{node}(pkt, pt) state {state} {{");
-        let n_stmts = 1 + self.below(3);
-        let dup_at = self.below(n_stmts);
+        let n_stmts = 1 + self.rng.below(3);
+        let dup_at = self.rng.below(n_stmts);
         for slot in 0..n_stmts {
             if dup && slot == dup_at {
                 let _ = writeln!(src, "    if d{node} == 0 {{ d{node} = 1; dup; }}");
@@ -163,7 +191,7 @@ impl ProgramGen {
             let stmt = self.gen_stmt(&var, true);
             let _ = writeln!(src, "    {stmt}");
         }
-        match self.below(3) {
+        match self.rng.below(3) {
             0 => {
                 let _ = writeln!(
                     src,
@@ -175,7 +203,7 @@ impl ProgramGen {
                 // Sweep-ready programs sometimes gate the forward decision
                 // on the parameter itself: both arms end the packet visit,
                 // so the termination argument is unchanged.
-                if self.parameterized && self.below(3) == 0 {
+                if self.parameterized && self.rng.below(3) == 0 {
                     let _ = writeln!(
                         src,
                         "    if {var} >= PT {{ fwd({right_port}); }} else {{ drop; }}"
@@ -184,7 +212,7 @@ impl ProgramGen {
                     let _ = writeln!(
                         src,
                         "    if {var} >= {} {{ fwd({right_port}); }} else {{ drop; }}",
-                        self.below(2)
+                        self.rng.below(2)
                     );
                 }
             }
@@ -197,19 +225,19 @@ impl ProgramGen {
 
     /// One statement; `compound` allows a single level of `if` nesting.
     fn gen_stmt(&mut self, var: &str, compound: bool) -> String {
-        match self.below(if compound { 8 } else { 6 }) {
-            0 => format!("{var} = {var} + {};", 1 + self.below(2)),
-            1 => format!("{var} = uniformInt(0, {});", 1 + self.below(2)),
-            2 => format!("pkt.tag = pkt.tag + {};", 1 + self.below(2)),
+        match self.rng.below(if compound { 8 } else { 6 }) {
+            0 => format!("{var} = {var} + {};", 1 + self.rng.below(2)),
+            1 => format!("{var} = uniformInt(0, {});", 1 + self.rng.below(2)),
+            2 => format!("pkt.tag = pkt.tag + {};", 1 + self.rng.below(2)),
             3 => format!("{var} = flip({});", self.probability()),
             4 => "skip;".to_string(),
             5 => {
-                if self.below(4) == 0 {
+                if self.rng.below(4) == 0 {
                     // Soft conditioning: discards a fixed fraction of mass
                     // but can never discard all of it, so Z stays positive.
                     "observe(flip(9/10));".to_string()
                 } else {
-                    format!("pkt.tag = {};", self.below(3))
+                    format!("pkt.tag = {};", self.rng.below(3))
                 }
             }
             6 => {
@@ -222,7 +250,7 @@ impl ProgramGen {
             }
             _ => {
                 let then = self.gen_stmt(var, false);
-                format!("if {var} <= {} {{ {then} }}", self.below(2))
+                format!("if {var} <= {} {{ {then} }}", self.rng.below(2))
             }
         }
     }
@@ -230,7 +258,7 @@ impl ProgramGen {
     /// A random probability literal in (0, 1).
     fn probability(&mut self) -> String {
         const CHOICES: [&str; 5] = ["1/2", "1/3", "2/3", "1/4", "3/4"];
-        CHOICES[self.below(CHOICES.len() as u64) as usize].to_string()
+        CHOICES[self.rng.below(CHOICES.len() as u64) as usize].to_string()
     }
 }
 

@@ -10,9 +10,11 @@
 //! well-formed HTTP error response or a clean close — never a panic, a
 //! wedged event loop, or a leaked fd.
 //!
-//! The generator is the same tiny self-contained LCG as `testgen`, so a
-//! seed fully determines the byte string and every failure reproduces
-//! from the seed alone.
+//! The generator draws from `testgen`'s [`Lcg`], so a seed fully
+//! determines the byte string and every failure reproduces from the seed
+//! alone.
+
+use bayonet_lang::testgen::Lcg;
 
 /// A deterministic generator of hostile HTTP request bytes.
 ///
@@ -26,36 +28,22 @@
 /// assert_eq!(bytes, RequestFuzzGen::new(7).generate());
 /// ```
 pub struct RequestFuzzGen {
-    state: u64,
+    rng: Lcg,
 }
 
 impl RequestFuzzGen {
     /// Creates a generator; the seed fully determines the output.
     pub fn new(seed: u64) -> RequestFuzzGen {
-        // Splash the seed so small seeds don't produce correlated streams.
         RequestFuzzGen {
-            state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1),
+            rng: Lcg::new(seed),
         }
-    }
-
-    /// Next raw 64-bit draw (an LCG with Knuth's MMIX constants, taking
-    /// the high bits which have the longest period).
-    fn next_u64(&mut self) -> u64 {
-        self.state = self
-            .state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.state >> 11
-    }
-
-    /// Uniform draw in `0..n`.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
     }
 
     /// `len` bytes of unrestricted binary noise.
     fn noise(&mut self, len: usize) -> Vec<u8> {
-        (0..len).map(|_| (self.next_u64() & 0xFF) as u8).collect()
+        (0..len)
+            .map(|_| (self.rng.next_u64() & 0xFF) as u8)
+            .collect()
     }
 
     /// A syntactically plausible request line.
@@ -64,8 +52,8 @@ impl RequestFuzzGen {
         const PATHS: [&str; 5] = ["/healthz", "/v1/run", "/v1/batch", "/", "/..//x"];
         format!(
             "{} {} HTTP/1.1",
-            METHODS[self.below(METHODS.len() as u64) as usize],
-            PATHS[self.below(PATHS.len() as u64) as usize],
+            METHODS[self.rng.below(METHODS.len() as u64) as usize],
+            PATHS[self.rng.below(PATHS.len() as u64) as usize],
         )
     }
 
@@ -74,11 +62,11 @@ impl RequestFuzzGen {
     /// trailers, odd methods) so the corpus also exercises the boundary
     /// between reject and accept.
     pub fn generate(&mut self) -> Vec<u8> {
-        match self.below(10) {
+        match self.rng.below(10) {
             // Valid framing, invalid UTF-8 where JSON should be.
             0 => {
                 let mut body = br#"{"source":""#.to_vec();
-                body.extend((0..8).map(|_| 0xC0u8 | (self.below(64) as u8)));
+                body.extend((0..8).map(|_| 0xC0u8 | (self.rng.below(64) as u8)));
                 body.extend_from_slice(b"\"}");
                 let mut req = format!(
                     "POST /v1/run HTTP/1.1\r\nHost: fuzz\r\nContent-Length: {}\r\n\r\n",
@@ -91,10 +79,10 @@ impl RequestFuzzGen {
             // Content-Length that does not parse (or conflicts).
             1 => {
                 const BAD: [&str; 4] = ["banana", "-1", "0x10", "99999999999999999999999999"];
-                let value = if self.below(4) == 0 {
+                let value = if self.rng.below(4) == 0 {
                     "5\r\nContent-Length: 7".to_string() // conflicting pair
                 } else {
-                    BAD[self.below(BAD.len() as u64) as usize].to_string()
+                    BAD[self.rng.below(BAD.len() as u64) as usize].to_string()
                 };
                 format!(
                     "{}\r\nHost: fuzz\r\nContent-Length: {value}\r\n\r\nhello",
@@ -106,12 +94,12 @@ impl RequestFuzzGen {
             // head alone, no body bytes needed.
             2 => format!(
                 "POST /v1/run HTTP/1.1\r\nHost: fuzz\r\nContent-Length: {}\r\n\r\n",
-                crate::MAX_BODY_BYTES as u64 + 1 + self.below(1 << 20)
+                crate::MAX_BODY_BYTES as u64 + 1 + self.rng.below(1 << 20)
             )
             .into_bytes(),
             // Oversized head: one header value blown past MAX_HEAD_BYTES.
             3 => {
-                let pad = crate::MAX_HEAD_BYTES + 1 + self.below(16 * 1024) as usize;
+                let pad = crate::MAX_HEAD_BYTES + 1 + self.rng.below(16 * 1024) as usize;
                 let mut req = format!("{}\r\nX-Pad: ", self.request_line()).into_bytes();
                 req.extend(std::iter::repeat_n(b'a', pad));
                 req.extend_from_slice(b"\r\n\r\n");
@@ -120,14 +108,14 @@ impl RequestFuzzGen {
             // A well-formed request with pipelined trailing garbage.
             4 => {
                 let mut req = b"GET /healthz HTTP/1.1\r\nHost: fuzz\r\n\r\n".to_vec();
-                let len = 1 + self.below(64) as usize;
+                let len = 1 + self.rng.below(64) as usize;
                 let trailer = self.noise(len);
                 req.extend_from_slice(&trailer);
                 req
             }
             // Unstructured binary noise.
             5 => {
-                let len = 1 + self.below(256) as usize;
+                let len = 1 + self.rng.below(256) as usize;
                 self.noise(len)
             }
             // Mangled request line.
@@ -141,7 +129,7 @@ impl RequestFuzzGen {
                 ];
                 format!(
                     "{}\r\nHost: fuzz\r\n\r\n",
-                    LINES[self.below(LINES.len() as u64) as usize]
+                    LINES[self.rng.below(LINES.len() as u64) as usize]
                 )
                 .into_bytes()
             }
@@ -152,14 +140,14 @@ impl RequestFuzzGen {
                 format!(
                     "{}\r\n{}\r\nHost: fuzz\r\n\r\n",
                     self.request_line(),
-                    HEADERS[self.below(HEADERS.len() as u64) as usize]
+                    HEADERS[self.rng.below(HEADERS.len() as u64) as usize]
                 )
                 .into_bytes()
             }
             // Torn body: head promises more bytes than will ever arrive.
             8 => {
-                let declared = 64 + self.below(512);
-                let sent = self.below(32) as usize;
+                let declared = 64 + self.rng.below(512);
+                let sent = self.rng.below(32) as usize;
                 let mut req = format!(
                     "POST /v1/run HTTP/1.1\r\nHost: fuzz\r\nContent-Length: {declared}\r\n\r\n"
                 )
@@ -172,7 +160,7 @@ impl RequestFuzzGen {
                 let mut req = b"GET /".to_vec();
                 req.extend(std::iter::repeat_n(
                     b'z',
-                    crate::MAX_HEAD_BYTES + self.below(8192) as usize,
+                    crate::MAX_HEAD_BYTES + self.rng.below(8192) as usize,
                 ));
                 req.extend_from_slice(b" HTTP/1.1\r\nHost: fuzz\r\n\r\n");
                 req
@@ -200,7 +188,7 @@ mod tests {
         let mut shapes = std::collections::HashSet::new();
         for seed in 0..100 {
             let mut gen = RequestFuzzGen::new(seed);
-            shapes.insert(gen.below(10));
+            shapes.insert(gen.rng.below(10));
         }
         assert_eq!(shapes.len(), 10, "seeds 0..100 miss shapes: {shapes:?}");
     }

@@ -16,13 +16,20 @@
 //! * `GET /healthz` — liveness probe,
 //! * `GET /metrics` — Prometheus text exposition.
 //!
-//! Inference requests are JSON objects
-//! `{source, engine, query, bindings, particles, seed, timeout_ms}`;
-//! responses carry structured JSON plus a `text` field rendered
-//! byte-for-byte identically to the `bayonet` CLI output, so the two can
-//! be diffed directly. A fixed worker pool pulls jobs from a bounded queue
-//! (overload is answered with `503` + `Retry-After`), per-request
-//! `timeout_ms` budgets are enforced cooperatively inside the engines via
+//! Inference requests are JSON objects. Each endpoint's allowed fields
+//! are listed once, in the field tables of the `service` module
+//! (`RUN_FIELDS` for `/v1/check`, `/v1/run`, `/v1/synthesize` and every
+//! batch item; `BATCH_FIELDS`; `SWEEP_FIELDS`), and one field reader
+//! decodes them all, so a bad field is the same structured `400` — naming
+//! it in `error.field` — on every endpoint. `docs/SERVER.md` documents the
+//! fields. All inference endpoints share one decode → resolve → plan →
+//! execute → frame pipeline; responses carry structured JSON plus a `text`
+//! field rendered byte-for-byte identically to the `bayonet` CLI output,
+//! so the two can be diffed directly.
+//!
+//! A fixed worker pool pulls jobs from a bounded queue (overload is
+//! answered with `503` + `Retry-After`), per-request `timeout_ms` budgets
+//! are enforced cooperatively inside the engines via
 //! [`bayonet_net::Deadline`], and successful results are cached in an LRU
 //! keyed by the canonicalized program and engine options. With
 //! [`ServerConfig::cache_dir`] set, cached results are also persisted to a

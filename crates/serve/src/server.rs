@@ -3,10 +3,12 @@
 //! All socket IO — accept, request parsing, response writing, chunked
 //! batch streaming — happens on one nonblocking event-loop thread (see
 //! the [`crate::evloop`] module docs); parsed requests are pushed onto a
-//! bounded job queue consumed by `threads` workers running the shared
-//! [`Service`]. When the queue is full the loop answers `503 Service
-//! Unavailable` with a `Retry-After` header itself, so overload sheds
-//! load in microseconds instead of stacking latency. Per-connection read
+//! bounded job queue consumed by `threads` workers. Each worker answers
+//! every job through one call, [`Service::serve`], which streams
+//! `/v1/batch` and `/v1/sweep` frames as chunked NDJSON and writes every
+//! other response buffered. When the queue is full the loop answers
+//! `503 Service Unavailable` with a `Retry-After` header itself, so
+//! overload sheds load in microseconds instead of stacking latency. Per-connection read
 //! and write deadlines bound hostile or broken clients without a thread
 //! held hostage per connection.
 //!
@@ -192,18 +194,10 @@ fn start_serve(config: ServerConfig) -> io::Result<ServerHandle> {
         workers.push(std::thread::spawn(move || {
             while let Ok(mut job) = rx.recv() {
                 service.metrics().queue_depth_add(-1);
-                if job.request.method == "POST" && job.request.path == "/v1/batch" {
-                    // Batch results stream back through the loop as chunked
-                    // NDJSON; a closed connection fails the writes, which
-                    // is what cancels the remaining items.
-                    let _ = service.handle_batch(&job.request, &mut job.out);
-                } else if job.request.method == "POST" && job.request.path == "/v1/sweep" {
-                    // Sweep grid points stream back the same way.
-                    let _ = service.handle_sweep(&job.request, &mut job.out);
-                } else {
-                    let response = service.handle(&job.request);
-                    let _ = response.write_to(&mut job.out);
-                }
+                // Batch and sweep frames stream back through the loop as
+                // chunked NDJSON; a closed connection fails the writes,
+                // which is what cancels a batch's remaining items.
+                let _ = service.serve(&job.request, &mut job.out);
                 job.out.finish();
             }
         }));

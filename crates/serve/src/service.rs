@@ -1,10 +1,25 @@
 //! Request routing and inference execution.
 //!
-//! The [`Service`] is the transport-independent core of the server: it maps
-//! one parsed HTTP [`Request`] to a [`Response`], running the same
-//! parse → check → compile → infer pipeline as the `bayonet` CLI. Exact
-//! results carry a `text` field rendered **byte-for-byte identically** to
-//! `bayonet run` stdout, so clients (and tests) can diff the two directly.
+//! The [`Service`] is the transport-independent core of the server. Every
+//! inference request — `/v1/check`, `/v1/run`, `/v1/synthesize`, a
+//! `/v1/batch` item, a `/v1/sweep` — runs one pipeline:
+//!
+//! 1. **Decode**: one field reader ([`Fields`]) checks the body against the
+//!    endpoint's field table; the first bad field is a `400` naming it.
+//! 2. **Resolve**: each distinct source is parsed once, compiled and
+//!    optimized at most once ([`Sources`]); bindings go on a copy.
+//! 3. **Plan**: `"engine": "auto"` resolves against the optimized model,
+//!    before the cache key is computed.
+//! 4. **Execute**: through the result cache, with one options builder, one
+//!    deadline builder and one engine-error map.
+//! 5. **Frame**: `/v1/batch` (a `/v1/run` per item, fanned out over pool
+//!    lanes) and `/v1/sweep` (grid points sharing work through
+//!    [`bayonet_exact::sweep`]) emit NDJSON frames, sorted by index for
+//!    [`Service::handle`] or streamed as chunks by [`Service::serve`].
+//!
+//! A `/v1/run` is a batch of one, run inline, so a batch item's frame is
+//! byte-identical to the same run. Exact results carry a `text` field
+//! rendered **byte-for-byte identically** to `bayonet run` stdout.
 //!
 //! Successful inference responses are cached in an LRU keyed by a hash of
 //! the canonically pretty-printed program, the engine, the query selection,
@@ -17,22 +32,22 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::hash::{Hash, Hasher};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use bayonet_approx::{rejection, smc, ApproxError, ApproxOptions, Estimate};
+use bayonet_approx::{rejection, smc, ApproxError, ApproxOptions};
 use bayonet_exact::{
-    analyze, answer_cached, plan_model, synthesize_result, ComputePool, EngineKind, ExactError,
-    ExactOptions, FeasibilityCache, Objective, Plan, PlanDecision, PlanEngine, PlannerConfig,
-    QueryResult, SweepResult, SynthesisOptions,
+    analyze, answer_cached, plan_model, synthesize_result, Analysis, ComputePool, EngineKind,
+    EngineStats, ExactError, ExactOptions, FeasibilityCache, Objective, Plan, PlanDecision,
+    PlanEngine, PlannerConfig, QueryResult, SynthesisOptions,
 };
 use bayonet_lang::{check, parse, pretty_program, Program};
 use bayonet_net::opt::optimize;
-use bayonet_net::{compile, scheduler_for, Deadline, Model, Scheduler};
+use bayonet_net::{compile, scheduler_for, CompiledQuery, Deadline, Model};
 use bayonet_num::Rat;
 
 use crate::cache::LruCache;
@@ -61,6 +76,39 @@ pub const MAX_REQUEST_THREADS: u64 = 64;
 /// Largest accepted `timeout_ms`; uncapped deadlines are expressed by
 /// omitting the field.
 pub const MAX_TIMEOUT_MS: u64 = 600_000;
+
+/// The fields of a `/v1/check`, `/v1/run` or `/v1/synthesize` body and of
+/// one `/v1/batch` item, in the order an unknown-field error lists them.
+const RUN_FIELDS: &[&str] = &[
+    "source",
+    "engine",
+    "query",
+    "bindings",
+    "particles",
+    "seed",
+    "timeout_ms",
+    "threads",
+    "maximize",
+    "allow_zero_params",
+    "passes",
+];
+
+/// The top-level fields of a `/v1/batch` body.
+const BATCH_FIELDS: &[&str] = &["source", "items", "timeout_ms"];
+
+/// The fields of a `/v1/sweep` body (`program` is an alias for `source`).
+const SWEEP_FIELDS: &[&str] = &[
+    "source",
+    "program",
+    "sweep",
+    "engine",
+    "bindings",
+    "timeout_ms",
+    "threads",
+    "passes",
+];
+
+const NDJSON: &str = "application/x-ndjson";
 
 /// Everything [`Service::with_options`] needs to build a service.
 #[derive(Default)]
@@ -165,37 +213,107 @@ impl Service {
         })
     }
 
-    /// Exact-engine options for one request: the per-request `threads` hint
-    /// (clamped to the pool capacity) plus the shared pool handle. The
-    /// deadline is passed in rather than read off the request so batch
-    /// items can substitute their batch-clamped deadline.
-    fn exact_options(&self, req: &InferenceRequest, deadline: Deadline) -> ExactOptions {
-        let requested = req.threads.unwrap_or(1);
-        let threads = match &self.pool {
-            Some(pool) => requested.min(pool.capacity()),
-            None => 1,
-        };
-        ExactOptions {
-            deadline,
-            threads,
-            pool: self.pool.clone(),
-            passes: req.passes,
-            ..ExactOptions::default()
-        }
-    }
-
     /// The shared metrics registry.
     pub fn metrics(&self) -> Arc<Metrics> {
         Arc::clone(&self.metrics)
     }
 
-    /// Handles one request, recording request metrics.
+    /// Handles one request to one buffered response, recording request
+    /// metrics. A `/v1/batch` or `/v1/sweep` body holds its NDJSON frames
+    /// sorted by index, so in-process callers (the CLI's `run --batch` and
+    /// `run --sweep`, tests) get deterministic output.
     pub fn handle(&self, req: &Request) -> Response {
         let started = Instant::now();
-        let endpoint = normalize_endpoint(&req.path);
-        let response = self.route(req);
+        self.respond(req, started, self.open_stream(req))
+    }
+
+    /// The server's single worker entry point: answers `req` on `out`.
+    /// `/v1/batch` and `/v1/sweep` stream their frames as chunked NDJSON,
+    /// batch items in completion order; every other request, and any
+    /// streaming request that fails validation, gets one buffered response
+    /// — no chunk is written before a stream is known to be well-formed.
+    /// If the client disconnects mid-batch, the remaining items are
+    /// cancelled so engine time is not wasted on an unreadable response.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transport errors, including the client disconnecting
+    /// mid-stream.
+    pub fn serve<W: Write + Send>(&self, req: &Request, out: &mut W) -> io::Result<()> {
+        let started = Instant::now();
+        let mut stream = match self.open_stream(req) {
+            Some(Ok(stream)) => stream,
+            other => return self.respond(req, started, other).write_to(out),
+        };
+        let cancel = match &mut stream {
+            Stream::Batch(batch) => Some(batch.deadline.cancel_handle()),
+            Stream::Sweep(_) => None,
+        };
+        let writer = Mutex::new(ChunkedWriter::begin(out, 200, NDJSON)?);
+        let broken = AtomicBool::new(false);
+        self.run_stream(&stream, &|index, resp| {
+            if broken.load(Ordering::Relaxed) {
+                return;
+            }
+            let frame = ndjson_frame(index, resp);
+            if writer
+                .lock()
+                .expect("chunk writer mutex")
+                .chunk(&frame)
+                .is_err()
+            {
+                broken.store(true, Ordering::Relaxed);
+                // The client is gone; expire the remaining items instead of
+                // burning engine time on frames nobody will read.
+                if let Some(cancel) = &cancel {
+                    cancel.cancel();
+                }
+            }
+        });
         self.metrics
-            .record_request(endpoint, response.status, started.elapsed());
+            .record_request(normalize_endpoint(&req.path), 200, started.elapsed());
+        if broken.into_inner() {
+            return Err(io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                "client disconnected mid-stream",
+            ));
+        }
+        writer.into_inner().expect("chunk writer mutex").finish()
+    }
+
+    /// Builds the buffered response for `req`, whose streaming part (if
+    /// any) [`Service::open_stream`] already decoded, and records request
+    /// metrics.
+    fn respond(
+        &self,
+        req: &Request,
+        started: Instant,
+        stream: Option<Result<Stream, ApiError>>,
+    ) -> Response {
+        let response = match stream {
+            None => self.route(req),
+            Some(Err(e)) => e.into_response(),
+            Some(Ok(stream)) => {
+                let frames = Mutex::new(Vec::new());
+                self.run_stream(&stream, &|index, resp| {
+                    let frame = ndjson_frame(index, resp);
+                    frames.lock().expect("frames mutex").push((index, frame));
+                });
+                let mut frames = frames.into_inner().expect("frames mutex");
+                frames.sort_by_key(|(index, _)| *index);
+                Response {
+                    status: 200,
+                    headers: Vec::new(),
+                    content_type: NDJSON,
+                    body: frames.into_iter().flat_map(|(_, frame)| frame).collect(),
+                }
+            }
+        };
+        self.metrics.record_request(
+            normalize_endpoint(&req.path),
+            response.status,
+            started.elapsed(),
+        );
         response
     }
 
@@ -204,179 +322,197 @@ impl Service {
             ("GET", "/healthz") => Response::json(200, r#"{"status":"ok"}"#),
             ("GET", "/metrics") => Response::text(200, self.metrics.render())
                 .with_content_type("text/plain; version=0.0.4; charset=utf-8"),
-            ("POST", "/v1/check") | ("POST", "/v1/run") | ("POST", "/v1/synthesize") => {
-                match self.inference(req) {
-                    Ok(resp) => resp,
-                    Err(e) => e.into_response(),
-                }
-            }
-            ("POST", "/v1/batch") => self.batch_endpoint(req),
-            ("POST", "/v1/sweep") => self.sweep_endpoint(req),
+            ("POST", endpoint @ ("/v1/check" | "/v1/run" | "/v1/synthesize")) => decode_body(req)
+                .and_then(|doc| {
+                    let sources = Sources::resolve(item_source(&doc, None), false);
+                    self.item(endpoint, &doc, None, &sources, &Deadline::unlimited())
+                })
+                .unwrap_or_else(ApiError::into_response),
             ("GET", "/v1/check" | "/v1/run" | "/v1/synthesize" | "/v1/batch" | "/v1/sweep")
-            | ("POST", "/healthz" | "/metrics") => ApiError {
-                status: 405,
-                kind: "method_not_allowed",
-                message: format!("{} does not support {}", req.path, req.method),
-                field: None,
-            }
+            | ("POST", "/healthz" | "/metrics") => ApiError::new(
+                405,
+                "method_not_allowed",
+                format!("{} does not support {}", req.path, req.method),
+            )
             .into_response(),
-            _ => ApiError {
-                status: 404,
-                kind: "not_found",
-                message: format!("no such endpoint: {}", req.path),
-                field: None,
-            }
-            .into_response(),
+            _ => ApiError::new(404, "not_found", format!("no such endpoint: {}", req.path))
+                .into_response(),
         }
     }
 
-    fn inference(&self, req: &Request) -> Result<Response, ApiError> {
-        let mut parsed = InferenceRequest::from_http(req)?;
+    /// Decodes a `/v1/batch` request, or decodes and runs a `/v1/sweep`
+    /// (all grid points are answered by one shared exploration); `None`
+    /// for every other route.
+    fn open_stream(&self, req: &Request) -> Option<Result<Stream, ApiError>> {
+        let sweep = match (req.method.as_str(), req.path.as_str()) {
+            ("POST", "/v1/batch") => false,
+            ("POST", "/v1/sweep") => true,
+            _ => return None,
+        };
+        Some(decode_body(req).and_then(|doc| {
+            Ok(if sweep {
+                Stream::Sweep(self.sweep(&doc)?)
+            } else {
+                Stream::Batch(BatchRequest::decode(&doc)?)
+            })
+        }))
+    }
 
-        // Canonical cache key: pretty-printed program, not raw source, so
-        // formatting differences still hit.
-        let program = parse(&parsed.source).map_err(|e| ApiError {
-            status: 422,
-            kind: "parse_error",
-            message: e.to_string(),
-            field: None,
-        })?;
-        let canonical = pretty_program(&program);
+    /// Emits every frame of a validated stream. `emit` may be called from
+    /// several pool lanes at once, hence `Sync`.
+    fn run_stream(&self, stream: &Stream, emit: &(dyn Fn(usize, &Response) + Sync)) {
+        match stream {
+            Stream::Batch(batch) => self.run_batch(batch, emit),
+            Stream::Sweep(points) => points.iter().enumerate().for_each(|(i, r)| emit(i, r)),
+        }
+    }
+
+    /// Runs every batch item through [`Service::item`], calling `emit` with
+    /// each item's index and `/v1/run`-shaped response as it completes.
+    /// Items fan out across lanes leased from the compute pool; the
+    /// request's own thread always works as lane zero, so a fully busy pool
+    /// degrades to sequential execution instead of blocking.
+    fn run_batch(&self, batch: &BatchRequest, emit: &(dyn Fn(usize, &Response) + Sync)) {
+        let shared = batch.shared_source.as_deref();
+        // Items without a resolvable source report the same missing-field
+        // error `/v1/run` would.
+        let texts: Vec<&str> = batch
+            .items
+            .iter()
+            .filter_map(|item| item_source(item, shared))
+            .collect();
+        // Sequential: check and compile each distinct source exactly once.
+        let sources = Sources::resolve(texts.iter().copied(), true);
+
+        // Parallel: fan items out over pool lanes.
+        let next = AtomicUsize::new(0);
+        let item_errors = AtomicU64::new(0);
+        let run_lane = || loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = batch.items.get(index) else {
+                break;
+            };
+            let resp = self
+                .item("/v1/run", item, shared, &sources, &batch.deadline)
+                .unwrap_or_else(ApiError::into_response);
+            if resp.status != 200 {
+                item_errors.fetch_add(1, Ordering::Relaxed);
+            }
+            emit(index, &resp);
+        };
+        let lease = self
+            .pool
+            .as_ref()
+            .map(|pool| pool.lease(batch.items.len().saturating_sub(1)));
+        let extra_lanes = lease.as_ref().map_or(0, |l| l.granted());
+        if extra_lanes == 0 {
+            run_lane();
+        } else {
+            let run_lane = &run_lane;
+            std::thread::scope(|scope| {
+                for _ in 0..extra_lanes {
+                    scope.spawn(run_lane);
+                }
+                run_lane();
+            });
+        }
+        drop(lease);
+
+        self.metrics.record_batch(
+            batch.items.len() as u64,
+            item_errors.into_inner(),
+            sources.compiles,
+            (texts.len() as u64).saturating_sub(sources.fresh),
+        );
+    }
+
+    /// Runs one inference item — a whole `/v1/check`, `/v1/run` or
+    /// `/v1/synthesize` request, or one `/v1/batch` item (an item without
+    /// its own `source` inherits `shared`) — to its response, success or
+    /// structured error. `batch` is the enclosing batch's deadline
+    /// (unlimited for a single request); the item's `timeout_ms` can only
+    /// shorten it.
+    fn item(
+        &self,
+        endpoint: &str,
+        doc: &Json,
+        shared: Option<&str>,
+        sources: &Sources,
+        batch: &Deadline,
+    ) -> Result<Response, ApiError> {
+        let mut req = InferenceRequest::decode(doc, shared)?;
+        let source = sources.get(&req.source)?;
+        let deadline = deadline_within(batch, req.timeout_ms);
 
         // `"engine": "auto"` resolves to a concrete engine *before* the
         // cache key is computed, so a planner-routed result and the same
-        // request with the chosen engine spelled out share one cache entry
-        // — and an infeasible deadline is rejected before any engine work.
-        let mut prebuilt: Option<(Model, Box<dyn Scheduler>)> = None;
-        let mut plan: Option<Plan> = None;
-        if parsed.engine == Engine::Auto {
-            if req.path == "/v1/run" {
-                let (model, scheduler) = parsed.build_model()?;
-                // Plan against the optimized model: the cost model reads
-                // the cached pass facts and symmetry signals. The optimized
-                // model is kept only for exact routes — sampling engines
-                // run the original (see `run_engine`).
-                let optimized = parsed.passes.then(|| optimize(&model));
-                let budget = parsed.timeout_ms.map(Duration::from_millis);
-                match self.plan_auto(&mut parsed, optimized.as_ref().unwrap_or(&model), budget) {
-                    Ok(p) => plan = Some(p),
-                    Err(rejection) => return Ok(rejection),
-                }
-                let exact_route = matches!(parsed.engine, Engine::Exact | Engine::Bdd);
-                let chosen = match (optimized, exact_route) {
-                    (Some(opt), true) => opt,
-                    _ => model,
+        // request with the chosen engine spelled out share one cache
+        // entry — and an infeasible deadline is rejected before any
+        // engine work. `/v1/check` never runs an engine and
+        // `/v1/synthesize` always runs the exact enumeration core, so
+        // there auto resolves to the default request's key.
+        let mut plan = None;
+        let mut model = None;
+        if req.engine == Engine::Auto && endpoint == "/v1/run" {
+            // Plan against the optimized model: the cost model reads the
+            // pass facts and symmetry signals.
+            let planned = source.bound(req.passes, &req.bindings)?;
+            plan = Some(self.plan(&mut req, &planned, deadline.remaining())?);
+            // Sampling engines run the unoptimized model (see `run`).
+            if req.engine.is_exact() || !req.passes {
+                model = Some(planned);
+            }
+        } else if req.engine == Engine::Auto {
+            req.engine = Engine::Exact;
+        }
+
+        // Batch items use the `/v1/run` key, so they share cache
+        // entries with single runs in both directions.
+        let key = req.cache_key(endpoint, &source.canonical);
+        if let Some(mut hit) = self.probe(&[key]) {
+            return Ok(hit.remove(0));
+        }
+        if batch.expired() {
+            return Err(ApiError::new(
+                504,
+                "timeout",
+                "batch budget exhausted before this item started",
+            ));
+        }
+        let response = match endpoint {
+            "/v1/check" => check_response(&source.program)?,
+            "/v1/synthesize" => self.synthesize(&req, source, deadline)?,
+            _ => {
+                let model = match model {
+                    Some(model) => model,
+                    None => source.bound(req.passes && req.engine.is_exact(), &req.bindings)?,
                 };
-                prebuilt = Some((chosen, scheduler));
-            } else {
-                // `/v1/check` never runs an engine and `/v1/synthesize`
-                // always runs the exact enumeration core, so auto resolves
-                // to the same key the default request would use.
-                parsed.engine = Engine::Exact;
-            }
-        }
-        let key = parsed.cache_key(&req.path, &canonical);
-
-        if let Some(hit) = self.cache.lock().expect("cache mutex").get(&key).cloned() {
-            self.metrics.record_cache(true);
-            return Ok(hit);
-        }
-        self.metrics.record_cache(false);
-
-        let response = match req.path.as_str() {
-            "/v1/check" => self.check_endpoint(&parsed)?,
-            "/v1/run" => self.run_endpoint(&parsed, prebuilt, plan.as_ref())?,
-            "/v1/synthesize" => self.synthesize_endpoint(&parsed)?,
-            _ => unreachable!("routed"),
-        };
-        if response.status == 200 {
-            let evictions = {
-                let mut cache = self.cache.lock().expect("cache mutex");
-                cache.insert(key, response.clone());
-                cache.evictions()
-            };
-            self.metrics.set_cache_evictions(evictions);
-            if let Some(store) = &self.persist {
-                store.append(key, response.body.clone());
-            }
-        }
-        Ok(response)
-    }
-
-    fn check_endpoint(&self, req: &InferenceRequest) -> Result<Response, ApiError> {
-        let program = parse(&req.source).expect("parsed once already");
-        match check(&program) {
-            Ok(report) => {
-                let mut text = String::new();
-                for w in &report.warnings {
-                    let _ = writeln!(text, "warning: {}", w.message);
+                let started = Instant::now();
+                let response = self.run(&req, &model, deadline)?;
+                if let Some(plan) = &plan {
+                    let actual_ns = started.elapsed().as_nanos() as f64;
+                    self.metrics
+                        .record_planner_ratio(actual_ns / plan.est_cost_ns.max(1) as f64);
                 }
-                let _ = writeln!(text, "ok: {} warning(s)", report.warnings.len());
-                let warnings = report
-                    .warnings
-                    .iter()
-                    .map(|w| Json::Str(w.message.clone()))
-                    .collect();
-                Ok(Response::json(
-                    200,
-                    Json::obj(vec![
-                        ("ok", Json::Bool(true)),
-                        ("warnings", Json::Arr(warnings)),
-                        ("text", Json::Str(text)),
-                    ])
-                    .to_string(),
-                ))
+                response
             }
-            Err(errors) => {
-                let details = errors.iter().map(|e| Json::Str(e.to_string())).collect();
-                Ok(Response::json(
-                    422,
-                    Json::obj(vec![
-                        ("ok", Json::Bool(false)),
-                        (
-                            "error",
-                            Json::obj(vec![
-                                ("kind", Json::Str("check_error".into())),
-                                (
-                                    "message",
-                                    Json::Str(format!("{} integrity error(s)", errors.len())),
-                                ),
-                                ("details", Json::Arr(details)),
-                            ]),
-                        ),
-                    ])
-                    .to_string(),
-                ))
-            }
-        }
-    }
-
-    fn run_endpoint(
-        &self,
-        req: &InferenceRequest,
-        prebuilt: Option<(Model, Box<dyn Scheduler>)>,
-        plan: Option<&Plan>,
-    ) -> Result<Response, ApiError> {
-        let (model, scheduler) = match prebuilt {
-            // Auto routing already compiled the model to plan against.
-            Some(built) => built,
-            None => req.build_model()?,
         };
-        self.run_with_model(req, &model, &*scheduler, req.deadline(), plan)
+        self.store(key, &response);
+        Ok(response)
     }
 
     /// Routes a request whose `engine` is `auto` through the static cost
     /// model: rewrites `req.engine` (and, for the SMC route, an absent
     /// `particles`) so the cache key and the response are identical to an
-    /// explicit request for the chosen engine. Infeasible budgets return
-    /// the structured 422 as a ready [`Response`] — no engine work has
-    /// happened yet by design.
-    fn plan_auto(
+    /// explicit request for the chosen engine. Infeasible budgets are the
+    /// structured 422 of [`infeasible`] — no engine work has happened yet
+    /// by design.
+    fn plan(
         &self,
         req: &mut InferenceRequest,
         model: &Model,
         budget: Option<Duration>,
-    ) -> Result<Plan, Response> {
+    ) -> Result<Plan, ApiError> {
         let plan = plan_model(model, &PlannerConfig::default(), budget);
         match plan.decision {
             PlanDecision::Run(engine) => {
@@ -396,207 +532,95 @@ impl Service {
             }
             PlanDecision::Infeasible { needed_ns } => {
                 self.metrics.record_planner_rejection();
-                Err(infeasible_response(&plan, needed_ns))
+                Err(infeasible(&plan, needed_ns))
             }
         }
     }
 
-    /// Runs the `/v1/run` engine dispatch against an already compiled
-    /// model. The batch endpoint calls this directly with a clone of a
-    /// shared compiled model and a batch-clamped deadline. With `plan` set
-    /// (planner-routed requests) the run is timed and the actual/predicted
-    /// cost ratio folded into `bayonet_planner_cost_ratio`.
-    fn run_with_model(
+    /// Runs the `/v1/run` engine dispatch on a bound model: optimized for
+    /// the exact family unless the request opted out, unoptimized for the
+    /// sampling engines because pass rewrites change the draw sequence for
+    /// a fixed seed.
+    fn run(
         &self,
         req: &InferenceRequest,
         model: &Model,
-        scheduler: &dyn Scheduler,
         deadline: Deadline,
-        plan: Option<&Plan>,
     ) -> Result<Response, ApiError> {
-        let started = Instant::now();
-        let result = self.run_engine(req, model, scheduler, deadline);
-        if let Some(plan) = plan {
-            if matches!(&result, Ok(resp) if resp.status == 200) {
-                let actual_ns = started.elapsed().as_nanos() as f64;
-                self.metrics
-                    .record_planner_ratio(actual_ns / plan.est_cost_ns.max(1) as f64);
-            }
+        if req.engine.is_exact() {
+            self.record_opt(model);
+            let opts = self.exact_options(req.threads, req.passes, req.engine, deadline);
+            let (analysis, results) = self.analyze(model, &model.queries, &opts)?;
+            return Ok(posterior_response(
+                req.engine.name(),
+                Vec::new(),
+                &results,
+                &analysis.total_terminal_mass(),
+                &analysis.total_discarded_mass(),
+                Some(&analysis.stats),
+            ));
         }
-        result
+
+        let opts = ApproxOptions {
+            particles: req.particles.unwrap_or(1000),
+            seed: req.seed.unwrap_or(0),
+            deadline,
+            ..ApproxOptions::default()
+        };
+        let indices: Vec<usize> = match req.query {
+            Some(idx) => {
+                check_query(idx, model.queries.len())?;
+                vec![idx]
+            }
+            None => (0..model.queries.len()).collect(),
+        };
+        let scheduler = scheduler_for(model);
+        let mut text = String::new();
+        let mut estimates = Vec::new();
+        for idx in indices {
+            let q = &model.queries[idx];
+            let est = if req.engine == Engine::Smc {
+                smc(model, &*scheduler, q, &opts)
+            } else {
+                rejection(model, &*scheduler, q, &opts)
+            }?;
+            // Byte-for-byte the stdout of `bayonet run --engine smc`.
+            let _ = writeln!(text, "{}: {est}  (Ẑ ≈ {:.4})", q.source, est.z_estimate);
+            estimates.push(Json::obj(vec![
+                ("query", Json::Str(q.source.clone())),
+                ("value", Json::Num(est.value)),
+                ("std_error", Json::Num(est.std_error)),
+                ("samples", Json::Num(est.samples as f64)),
+                ("z_estimate", Json::Num(est.z_estimate)),
+            ]));
+        }
+        Ok(Response::json(
+            200,
+            Json::obj(vec![
+                ("ok", Json::Bool(true)),
+                ("engine", Json::Str(req.engine.name().into())),
+                ("estimates", Json::Arr(estimates)),
+                ("text", Json::Str(text)),
+            ])
+            .to_string(),
+        ))
     }
 
-    fn run_engine(
+    fn synthesize(
         &self,
         req: &InferenceRequest,
-        model: &Model,
-        scheduler: &dyn Scheduler,
+        source: &Source,
         deadline: Deadline,
     ) -> Result<Response, ApiError> {
-        match req.engine {
-            Engine::Exact | Engine::Bdd => {
-                // The exact family runs the optimized model unless the
-                // request opted out; sampling engines stay unoptimized
-                // because pass rewrites change the draw sequence for a
-                // fixed seed. Auto-routed requests arrive pre-optimized —
-                // `opt_info` makes this idempotent.
-                let optimized;
-                let model = if req.passes && model.opt_info().is_none() {
-                    optimized = optimize(model);
-                    &optimized
-                } else {
-                    model
-                };
-                if req.passes {
-                    if let Some(info) = model.opt_info() {
-                        let r = &info.report;
-                        self.metrics
-                            .record_opt(r.pass_runs, r.flips_eliminated, r.guards_folded);
-                    }
-                }
-                // Per-request feasibility memo table, shared between the
-                // analysis and every query answer; its totals feed the
-                // metrics aggregates once, below.
-                let cache = Arc::new(FeasibilityCache::new());
-                let mut opts = self.exact_options(req, deadline);
-                if req.engine == Engine::Bdd {
-                    opts.engine = EngineKind::Bdd;
-                }
-                opts.feasibility_cache = Some(Arc::clone(&cache));
-                let analysis = analyze(model, scheduler, &opts).map_err(exact_error)?;
-                self.metrics.record_engine(&analysis.stats);
-                let mut results: Vec<QueryResult> = Vec::with_capacity(model.queries.len());
-                for q in &model.queries {
-                    results.push(
-                        answer_cached(model, &analysis, q, opts.fm_pruning, Some(&cache))
-                            .map_err(exact_error)?,
-                    );
-                }
-                let (feas_hits, feas_misses) = cache.counts();
-                self.metrics.record_feasibility(feas_hits, feas_misses);
-                let z = analysis.total_terminal_mass();
-                let discarded = analysis.total_discarded_mass();
-
-                // Byte-for-byte the stdout of `bayonet run` with the same
-                // engine selection.
-                let mut text = String::new();
-                for result in &results {
-                    let _ = write!(text, "{result}");
-                }
-                let _ = writeln!(text, "Z = {z} (discarded by observations: {discarded})");
-                let _ = writeln!(
-                    text,
-                    "[{} steps, {} expansions, peak {} configs, {} merge hits]",
-                    analysis.stats.steps,
-                    analysis.stats.expansions,
-                    analysis.stats.peak_configs,
-                    analysis.stats.merge_hits
-                );
-
-                let results_json = results.iter().map(query_result_json).collect();
-                Ok(Response::json(
-                    200,
-                    Json::obj(vec![
-                        ("ok", Json::Bool(true)),
-                        ("engine", Json::Str(req.engine.name().into())),
-                        ("results", Json::Arr(results_json)),
-                        ("z", Json::Str(z.to_string())),
-                        ("discarded", Json::Str(discarded.to_string())),
-                        (
-                            "stats",
-                            Json::obj(vec![
-                                ("steps", Json::Num(analysis.stats.steps as f64)),
-                                ("expansions", Json::Num(analysis.stats.expansions as f64)),
-                                (
-                                    "peak_configs",
-                                    Json::Num(analysis.stats.peak_configs as f64),
-                                ),
-                                ("merge_hits", Json::Num(analysis.stats.merge_hits as f64)),
-                                (
-                                    "terminal_configs",
-                                    Json::Num(analysis.stats.terminal_configs as f64),
-                                ),
-                            ]),
-                        ),
-                        ("text", Json::Str(text)),
-                    ])
-                    .to_string(),
-                ))
-            }
-            Engine::Smc | Engine::Rejection => {
-                let opts = ApproxOptions {
-                    particles: req.particles.unwrap_or(1000),
-                    seed: req.seed.unwrap_or(0),
-                    deadline,
-                    ..ApproxOptions::default()
-                };
-                let indices: Vec<usize> = match req.query {
-                    Some(idx) => {
-                        req.check_query_index(idx, model.queries.len())?;
-                        vec![idx]
-                    }
-                    None => (0..model.queries.len()).collect(),
-                };
-                let mut text = String::new();
-                let mut estimates = Vec::new();
-                for idx in indices {
-                    let q = &model.queries[idx];
-                    let est: Estimate = match req.engine {
-                        Engine::Smc => smc(model, scheduler, q, &opts),
-                        Engine::Rejection => rejection(model, scheduler, q, &opts),
-                        Engine::Exact | Engine::Bdd | Engine::Auto => unreachable!(),
-                    }
-                    .map_err(approx_error)?;
-                    // Byte-for-byte the stdout of `bayonet run --engine smc`.
-                    let _ = writeln!(text, "{}: {est}  (Ẑ ≈ {:.4})", q.source, est.z_estimate);
-                    estimates.push(Json::obj(vec![
-                        ("query", Json::Str(q.source.clone())),
-                        ("value", Json::Num(est.value)),
-                        ("std_error", Json::Num(est.std_error)),
-                        ("samples", Json::Num(est.samples as f64)),
-                        ("z_estimate", Json::Num(est.z_estimate)),
-                    ]));
-                }
-                Ok(Response::json(
-                    200,
-                    Json::obj(vec![
-                        ("ok", Json::Bool(true)),
-                        ("engine", Json::Str(req.engine.name().into())),
-                        ("estimates", Json::Arr(estimates)),
-                        ("text", Json::Str(text)),
-                    ])
-                    .to_string(),
-                ))
-            }
-            // Resolved to a concrete engine in `inference` / `batch_item_inner`
-            // before any run is dispatched.
-            Engine::Auto => unreachable!("auto engine is resolved before dispatch"),
-        }
-    }
-
-    fn synthesize_endpoint(&self, req: &InferenceRequest) -> Result<Response, ApiError> {
-        let (model, scheduler) = req.build_model()?;
+        let model = source.bound(false, &req.bindings)?;
         let query_idx = req.query.unwrap_or(0);
-        req.check_query_index(query_idx, model.queries.len())?;
+        check_query(query_idx, model.queries.len())?;
 
-        let cache = Arc::new(FeasibilityCache::new());
-        let mut opts = self.exact_options(req, req.deadline());
-        opts.feasibility_cache = Some(Arc::clone(&cache));
-        let analysis = analyze(&model, &*scheduler, &opts).map_err(exact_error)?;
-        self.metrics.record_engine(&analysis.stats);
-        let result = answer_cached(
-            &model,
-            &analysis,
-            &model.queries[query_idx],
-            opts.fm_pruning,
-            Some(&cache),
-        )
-        .map_err(exact_error)?;
-        let (feas_hits, feas_misses) = cache.counts();
-        self.metrics.record_feasibility(feas_hits, feas_misses);
+        let opts = self.exact_options(req.threads, req.passes, Engine::Exact, deadline);
+        let (_, results) = self.analyze(&model, &model.queries[query_idx..=query_idx], &opts)?;
         let synthesis = synthesize_result(
             &model,
-            &result,
+            &results[0],
             SynthesisOptions {
                 objective: if req.maximize {
                     Objective::Maximize
@@ -606,12 +630,7 @@ impl Service {
                 positive_params: !req.allow_zero_params,
             },
         )
-        .map_err(|e| ApiError {
-            status: 422,
-            kind: "engine_error",
-            message: e.to_string(),
-            field: None,
-        })?;
+        .map_err(|e| engine_failure(false, &e))?;
 
         // Byte-for-byte the stdout of `bayonet synthesize`.
         let mut text = String::new();
@@ -671,511 +690,99 @@ impl Service {
         ))
     }
 
-    /// The buffered `/v1/batch` handler used by [`Service::handle`]: runs
-    /// the whole batch, then returns one NDJSON body with the frames
-    /// sorted by item index. The HTTP server streams instead via
-    /// [`Service::handle_batch`]; this path serves in-process callers (the
-    /// CLI's `run --batch`, tests) that want deterministic output.
-    fn batch_endpoint(&self, req: &Request) -> Response {
-        let batch = match BatchRequest::from_http(req) {
-            Ok(batch) => batch,
-            Err(e) => return e.into_response(),
-        };
-        let deadline = batch.deadline();
-        let frames: Mutex<Vec<(usize, Vec<u8>)>> = Mutex::new(Vec::new());
-        let emit = |index: usize, resp: &Response| {
-            frames
-                .lock()
-                .expect("frames mutex")
-                .push((index, ndjson_frame(index, resp)));
-        };
-        let stats = self.run_batch(&batch, &deadline, &emit);
-        self.record_batch_stats(&stats);
-        let mut frames = frames.into_inner().expect("frames mutex");
-        frames.sort_by_key(|(index, _)| *index);
-        let mut body = Vec::new();
-        for (_, frame) in frames {
-            body.extend_from_slice(&frame);
-        }
-        Response {
-            status: 200,
-            headers: Vec::new(),
-            content_type: "application/x-ndjson",
-            body,
-        }
-    }
-
-    /// The streaming `/v1/batch` handler: validates the batch, then writes
-    /// per-item NDJSON frames to `stream` as chunked transfer encoding, in
-    /// completion order. Validation errors are written as an ordinary
-    /// buffered error response (no chunk is ever emitted before the batch
-    /// is known to be well-formed). If the client disconnects mid-stream,
-    /// the remaining items are cancelled so engine time is not wasted on an
-    /// unreadable response.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors, including the client disconnecting
-    /// mid-batch.
-    pub fn handle_batch<W: Write + Send>(&self, req: &Request, stream: &mut W) -> io::Result<()> {
-        let started = Instant::now();
-        let batch = match BatchRequest::from_http(req) {
-            Ok(batch) => batch,
-            Err(e) => {
-                let resp = e.into_response();
-                self.metrics
-                    .record_request("/v1/batch", resp.status, started.elapsed());
-                return resp.write_to(stream);
-            }
-        };
-        let mut deadline = batch.deadline();
-        let cancel = deadline.cancel_handle();
-        let writer = Mutex::new(ChunkedWriter::begin(stream, 200, "application/x-ndjson")?);
-        let broken = AtomicBool::new(false);
-        let emit = |index: usize, resp: &Response| {
-            if broken.load(Ordering::Relaxed) {
-                return;
-            }
-            let frame = ndjson_frame(index, resp);
-            let failed = writer
-                .lock()
-                .expect("chunk writer mutex")
-                .chunk(&frame)
-                .is_err();
-            if failed {
-                broken.store(true, Ordering::Relaxed);
-                // The client is gone; expire the remaining items instead of
-                // burning engine time on frames nobody will read.
-                cancel.cancel();
-            }
-        };
-        let stats = self.run_batch(&batch, &deadline, &emit);
-        self.metrics
-            .record_request("/v1/batch", 200, started.elapsed());
-        self.record_batch_stats(&stats);
-        if broken.load(Ordering::Relaxed) {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "client disconnected mid-batch",
-            ));
-        }
-        writer.into_inner().expect("chunk writer mutex").finish()
-    }
-
-    fn record_batch_stats(&self, stats: &BatchStats) {
-        self.metrics.record_batch(
-            stats.items,
-            stats.item_errors,
-            stats.compiles,
-            stats.source_reuse,
-        );
-    }
-
-    /// Runs every batch item, calling `emit` (possibly from several worker
-    /// threads, hence `Sync`) with each item's index and `/v1/run`-shaped
-    /// response as it completes. Items fan out across lanes leased from the
-    /// compute pool; the request's own thread always works as lane zero, so
-    /// a fully busy pool degrades to sequential execution instead of
-    /// blocking.
-    fn run_batch(
-        &self,
-        batch: &BatchRequest,
-        deadline: &Deadline,
-        emit: &(dyn Fn(usize, &Response) + Sync),
-    ) -> BatchStats {
-        // Phase 1 (sequential): compile each distinct source exactly once.
-        let prep = self.prepare_sources(batch);
-
-        // Phase 2 (parallel): fan items out over pool lanes.
-        let next = AtomicUsize::new(0);
-        let item_errors = AtomicU64::new(0);
-        let shared_source = batch.shared_source.as_deref();
-        let run_lane = || loop {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = batch.items.get(index) else {
-                break;
-            };
-            let resp = self.batch_item(item, shared_source, &prep, deadline);
-            if resp.status != 200 {
-                item_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            emit(index, &resp);
-        };
-        let lease = self
-            .pool
-            .as_ref()
-            .map(|pool| pool.lease(batch.items.len().saturating_sub(1)));
-        let extra_lanes = lease.as_ref().map_or(0, |l| l.granted());
-        if extra_lanes == 0 {
-            run_lane();
-        } else {
-            let run_lane = &run_lane;
-            std::thread::scope(|scope| {
-                for _ in 0..extra_lanes {
-                    scope.spawn(run_lane);
-                }
-                run_lane();
-            });
-        }
-        drop(lease);
-
-        let resolvable = batch
-            .items
-            .iter()
-            .filter(|item| item_source(item, shared_source).is_some())
-            .count() as u64;
-        BatchStats {
-            items: batch.items.len() as u64,
-            item_errors: item_errors.into_inner(),
-            compiles: prep.compiles,
-            source_reuse: resolvable.saturating_sub(prep.fresh),
-        }
-    }
-
-    /// Scans the batch once and parses + checks + compiles each distinct
-    /// source exactly one time. Sources that differ only in formatting
-    /// share a compile through the canonical pretty-printed form. Failures
-    /// are prepared too: every item with a broken source reports the same
-    /// structured error without re-parsing.
-    fn prepare_sources(&self, batch: &BatchRequest) -> BatchPrep {
-        let mut by_source: HashMap<String, Arc<PreparedSource>> = HashMap::new();
-        let mut by_canonical: HashMap<String, Arc<PreparedSource>> = HashMap::new();
-        let mut compiles = 0u64;
-        let mut fresh = 0u64;
-        for item in &batch.items {
-            let Some(source) = item_source(item, batch.shared_source.as_deref()) else {
-                // No resolvable source: the per-item pass reports the same
-                // missing-field error `/v1/run` would.
-                continue;
-            };
-            if by_source.contains_key(source) {
-                continue;
-            }
-            let prepared = match parse(source) {
-                Err(e) => {
-                    fresh += 1;
-                    Arc::new(PreparedSource {
-                        canonical: String::new(),
-                        outcome: Err(ApiError {
-                            status: 422,
-                            kind: "parse_error",
-                            message: e.to_string(),
-                            field: None,
-                        }),
-                    })
-                }
-                Ok(program) => {
-                    let canonical = pretty_program(&program);
-                    match by_canonical.get(&canonical) {
-                        // Textually different but canonically identical:
-                        // reuse the compile.
-                        Some(shared) => Arc::clone(shared),
-                        None => {
-                            fresh += 1;
-                            compiles += 1;
-                            let prepared = Arc::new(PreparedSource {
-                                canonical: canonical.clone(),
-                                outcome: check_and_compile(&program),
-                            });
-                            by_canonical.insert(canonical, Arc::clone(&prepared));
-                            prepared
-                        }
-                    }
-                }
-            };
-            by_source.insert(source.to_string(), prepared);
-        }
-        BatchPrep {
-            by_source,
-            compiles,
-            fresh,
-        }
-    }
-
-    /// Runs one batch item to a `/v1/run`-shaped [`Response`] (success or
-    /// structured error), never panicking the lane.
-    fn batch_item(
-        &self,
-        item: &Json,
-        shared_source: Option<&str>,
-        prep: &BatchPrep,
-        batch_deadline: &Deadline,
-    ) -> Response {
-        match self.batch_item_inner(item, shared_source, prep, batch_deadline) {
-            Ok(resp) => resp,
-            Err(e) => e.into_response(),
-        }
-    }
-
-    fn batch_item_inner(
-        &self,
-        item: &Json,
-        shared_source: Option<&str>,
-        prep: &BatchPrep,
-        batch_deadline: &Deadline,
-    ) -> Result<Response, ApiError> {
-        let mut parsed = InferenceRequest::from_json(item, shared_source)?;
-        let prepared = prep
-            .by_source
-            .get(&parsed.source)
-            .expect("every resolvable source was prepared in the scan phase");
-        let template = match &prepared.outcome {
-            Ok(model) => model,
-            Err(e) => return Err(e.clone()),
-        };
-
-        let deadline = match parsed.timeout_ms {
-            Some(ms) => batch_deadline.clamped(Duration::from_millis(ms)),
-            None => batch_deadline.clone(),
-        };
-
-        // Auto items plan **per item** — the shared compile is still
-        // amortized, but routing is independent: each item's bindings (and
-        // its share of the remaining batch budget) can push it to a
-        // different engine. Resolution happens before the cache key below,
-        // exactly like the single-request path.
-        let mut prebuilt: Option<(Model, Box<dyn Scheduler>)> = None;
-        let mut plan: Option<Plan> = None;
-        if parsed.engine == Engine::Auto {
-            let mut model = template.clone();
-            apply_bindings(&mut model, &parsed.bindings)?;
-            match self.plan_auto(&mut parsed, &model, deadline.remaining()) {
-                Ok(p) => plan = Some(p),
-                Err(rejection) => return Ok(rejection),
-            }
-            let scheduler = scheduler_for(&model);
-            prebuilt = Some((model, scheduler));
-        }
-
-        // Same key as a single `/v1/run` call, so batch items and single
-        // runs share cache entries in both directions.
-        let key = parsed.cache_key("/v1/run", &prepared.canonical);
-        if let Some(hit) = self.cache.lock().expect("cache mutex").get(&key).cloned() {
-            self.metrics.record_cache(true);
-            return Ok(hit);
-        }
-        self.metrics.record_cache(false);
-
-        if batch_deadline.expired() {
-            return Err(ApiError {
-                status: 504,
-                kind: "timeout",
-                message: "batch budget exhausted before this item started".into(),
-                field: None,
-            });
-        }
-
-        let (model, scheduler) = match prebuilt {
-            Some(built) => built,
-            None => {
-                let mut model = template.clone();
-                apply_bindings(&mut model, &parsed.bindings)?;
-                let scheduler = scheduler_for(&model);
-                (model, scheduler)
-            }
-        };
-        let response =
-            self.run_with_model(&parsed, &model, &*scheduler, deadline, plan.as_ref())?;
-        if response.status == 200 {
-            let evictions = {
-                let mut cache = self.cache.lock().expect("cache mutex");
-                cache.insert(key, response.clone());
-                cache.evictions()
-            };
-            self.metrics.set_cache_evictions(evictions);
-            if let Some(store) = &self.persist {
-                store.append(key, response.body.clone());
-            }
-        }
-        Ok(response)
-    }
-
-    /// The buffered `/v1/sweep` handler used by [`Service::handle`]: runs
-    /// the whole grid, then returns one NDJSON body with one frame per grid
-    /// point, in grid (row-major) order. The HTTP server streams the same
-    /// frames instead via [`Service::handle_sweep`]; this path serves
-    /// in-process callers (the CLI's `run --sweep`, tests).
-    fn sweep_endpoint(&self, req: &Request) -> Response {
-        let frames = match self.run_sweep(req) {
-            Ok(frames) => frames,
-            Err(e) => return e.into_response(),
-        };
-        let mut body = Vec::new();
-        for frame in frames {
-            body.extend_from_slice(&frame);
-        }
-        Response {
-            status: 200,
-            headers: Vec::new(),
-            content_type: "application/x-ndjson",
-            body,
-        }
-    }
-
-    /// The streaming `/v1/sweep` handler: validates the request, runs the
-    /// sweep (sharing work across grid points), then writes per-point
-    /// NDJSON frames to `stream` as chunked transfer encoding. Validation
-    /// errors are written as an ordinary buffered error response — no chunk
-    /// is emitted before the sweep is known to be well-formed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors, including the client disconnecting
-    /// mid-stream.
-    pub fn handle_sweep<W: Write + Send>(&self, req: &Request, stream: &mut W) -> io::Result<()> {
-        let started = Instant::now();
-        match self.run_sweep(req) {
-            Err(e) => {
-                let resp = e.into_response();
-                self.metrics
-                    .record_request("/v1/sweep", resp.status, started.elapsed());
-                resp.write_to(stream)
-            }
-            Ok(frames) => {
-                self.metrics
-                    .record_request("/v1/sweep", 200, started.elapsed());
-                let mut writer = ChunkedWriter::begin(stream, 200, "application/x-ndjson")?;
-                for frame in &frames {
-                    writer.chunk(frame)?;
-                }
-                writer.finish()
-            }
-        }
-    }
-
-    /// Validates and runs one `/v1/sweep` request to its per-point NDJSON
-    /// frames (frame `index` = row-major grid index). The program compiles
-    /// once; the exact sweep engine then shares work across grid points —
+    /// Decodes and runs one `/v1/sweep` request to one response per grid
+    /// point (row-major). The program compiles and optimizes once; the
+    /// exact sweep engine then shares work across grid points —
     /// symbolically (piecewise cells answer every point), via a replayed
     /// exploration prefix, or not at all when nothing is shareable — while
     /// staying bit-identical to independent pointwise runs.
-    fn run_sweep(&self, req: &Request) -> Result<Vec<Vec<u8>>, ApiError> {
-        let sreq = SweepRequest::from_http(req)?;
-        let program = parse(&sreq.source).map_err(|e| ApiError {
-            status: 422,
-            kind: "parse_error",
-            message: e.to_string(),
-            field: None,
-        })?;
-        let canonical = pretty_program(&program);
-        let mut model = check_and_compile(&program)?;
-        apply_bindings(&mut model, &sreq.bindings)?;
-        // Optimize up front (rather than letting the sweep engine do it)
-        // so the pass report feeds the metrics registry; the sweep's own
-        // hook sees `opt_info` already attached and skips re-running.
-        if sreq.passes {
-            model = optimize(&model);
-            if let Some(info) = model.opt_info() {
-                let r = &info.report;
-                self.metrics
-                    .record_opt(r.pass_runs, r.flips_eliminated, r.guards_folded);
-            }
-        }
+    fn sweep(&self, doc: &Json) -> Result<Vec<Response>, ApiError> {
+        let req = SweepRequest::decode(doc)?;
+        let sources = Sources::resolve([req.source.as_str()], false);
+        let source = sources.get(&req.source)?;
+        let model = source.bound(req.passes, &req.bindings)?;
+        self.record_opt(&model);
 
         // Resolve swept names against the declared parameter table before
         // any engine work; a typo'd name is a structured 400, not 16
         // identical per-point errors.
-        let mut param_ids = Vec::with_capacity(sreq.sweep.len());
-        for (name, _) in &sreq.sweep {
-            let id = model
-                .params
-                .iter()
-                .find(|id| model.params.name(*id) == name.as_str())
-                .ok_or_else(|| ApiError {
-                    status: 400,
-                    kind: "bad_request",
-                    message: format!(
-                        "unknown swept parameter `{name}` (not declared in `parameters {{ ... }}`)"
-                    ),
-                    field: Some(format!("sweep.{name}")),
-                })?;
-            param_ids.push(id);
-        }
-        let points = sreq.points();
+        let params = req
+            .sweep
+            .iter()
+            .map(|(name, _)| {
+                model.params.lookup(name).ok_or_else(|| {
+                    bad(
+                        format!(
+                            "unknown swept parameter `{name}` (not declared in \
+                             `parameters {{ ... }}`)"
+                        ),
+                        format!("sweep.{name}"),
+                    )
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let points = req.points();
 
-        // Per-point cache probe: every point of an all-hit sweep is served
-        // from cache with no engine work. A partial hit reruns the whole
-        // grid — shared exploration makes skipping individual points a
-        // wash — and refreshes every entry.
+        // Every point of an all-hit sweep is served from cache with no
+        // engine work. A partial hit reruns the whole grid — shared
+        // exploration makes skipping individual points a wash — and
+        // refreshes every entry.
         let keys: Vec<u64> = points
             .iter()
-            .map(|p| sreq.point_key(&canonical, p))
+            .map(|p| req.point_key(&source.canonical, p))
             .collect();
-        {
-            let mut cache = self.cache.lock().expect("cache mutex");
-            let hits: Vec<Response> = keys.iter().filter_map(|k| cache.get(k).cloned()).collect();
-            if hits.len() == keys.len() {
-                drop(cache);
-                self.metrics.record_cache(true);
-                self.metrics
-                    .record_sweep("cached", points.len() as u64, 0, 0, 0);
-                return Ok(hits
-                    .iter()
-                    .enumerate()
-                    .map(|(i, resp)| ndjson_frame(i, resp))
-                    .collect());
-            }
+        if let Some(hits) = self.probe(&keys) {
+            self.metrics
+                .record_sweep("cached", points.len() as u64, 0, 0, 0);
+            return Ok(hits);
         }
-        self.metrics.record_cache(false);
 
-        let requested = sreq.threads.unwrap_or(1);
-        let threads = match &self.pool {
-            Some(pool) => requested.min(pool.capacity()),
-            None => 1,
-        };
-        let deadline = match sreq.timeout_ms {
-            Some(ms) => Deadline::after(Duration::from_millis(ms)),
-            None => Deadline::unlimited(),
-        };
-        let feas = Arc::new(FeasibilityCache::new());
-        let mut opts = ExactOptions {
-            deadline,
-            threads,
-            pool: self.pool.clone(),
-            passes: sreq.passes,
-            ..ExactOptions::default()
-        };
-        opts.engine = match sreq.engine {
-            Engine::Bdd => EngineKind::Bdd,
-            Engine::Auto => EngineKind::Auto,
-            _ => EngineKind::Enum,
-        };
-        opts.feasibility_cache = Some(Arc::clone(&feas));
-
-        let result =
-            bayonet_exact::sweep(&model, &param_ids, &points, &opts).map_err(exact_error)?;
+        let deadline = deadline_within(&Deadline::unlimited(), req.timeout_ms);
+        let opts = self.exact_options(req.threads, req.passes, req.engine, deadline);
+        let result = bayonet_exact::sweep(&model, &params, &points, &opts)?;
         self.metrics.record_engine(&result.prefix_stats);
-        let mut frames = Vec::with_capacity(points.len());
+        let engine = match result.engine {
+            EngineKind::Bdd => "bdd",
+            _ => "exact",
+        };
         let mut point_errors = 0u64;
-        for (i, (point, outcome)) in points.iter().zip(&result.points).enumerate() {
+        let mut responses = Vec::with_capacity(points.len());
+        for ((point, outcome), key) in points.iter().zip(&result.points).zip(keys) {
             let resp = match outcome {
                 Ok(p) => {
                     // Per-point stats cover only this point's continuation;
                     // the shared prefix was folded in once above, so the
                     // exported expansion totals reflect the actual saving.
                     self.metrics.record_engine(&p.stats);
-                    sweep_point_response(&result, &sreq.sweep, point, p)
+                    let point = req
+                        .sweep
+                        .iter()
+                        .zip(point)
+                        .map(|((name, _), value)| (name.clone(), Json::Str(value.to_string())))
+                        .collect();
+                    // Per-point statistics are not meaningful under shared
+                    // exploration, so the body carries none.
+                    posterior_response(
+                        engine,
+                        vec![
+                            ("route", Json::Str(result.route.name().into())),
+                            ("point", Json::Obj(point)),
+                        ],
+                        &p.results,
+                        &p.z,
+                        &p.discarded,
+                        None,
+                    )
                 }
                 Err(e) => {
                     point_errors += 1;
-                    exact_error_ref(e).into_response()
+                    ApiError::from(e).into_response()
                 }
             };
-            if resp.status == 200 {
-                let evictions = {
-                    let mut cache = self.cache.lock().expect("cache mutex");
-                    cache.insert(keys[i], resp.clone());
-                    cache.evictions()
-                };
-                self.metrics.set_cache_evictions(evictions);
-                if let Some(store) = &self.persist {
-                    store.append(keys[i], resp.body.clone());
-                }
-            }
-            frames.push(ndjson_frame(i, &resp));
+            self.store(key, &resp);
+            responses.push(resp);
         }
-        let (feas_hits, feas_misses) = feas.counts();
-        self.metrics.record_feasibility(feas_hits, feas_misses);
+        self.record_feasibility(&opts);
         self.metrics.record_sweep(
             result.route.name(),
             points.len() as u64,
@@ -1183,8 +790,110 @@ impl Service {
             result.reused_points() as u64,
             result.shared_steps,
         );
-        Ok(frames)
+        Ok(responses)
     }
+
+    /// Exact-engine options for one request: the `threads` hint clamped to
+    /// the pool capacity, the shared pool handle, the exact `engine`'s
+    /// backend, and a fresh feasibility memo table shared by the analysis
+    /// and every query answer.
+    fn exact_options(
+        &self,
+        threads: Option<usize>,
+        passes: bool,
+        engine: Engine,
+        deadline: Deadline,
+    ) -> ExactOptions {
+        ExactOptions {
+            deadline,
+            threads: self
+                .pool
+                .as_ref()
+                .map_or(1, |pool| threads.unwrap_or(1).min(pool.capacity())),
+            pool: self.pool.clone(),
+            passes,
+            engine: match engine {
+                Engine::Bdd => EngineKind::Bdd,
+                Engine::Auto => EngineKind::Auto,
+                _ => EngineKind::Enum,
+            },
+            feasibility_cache: Some(Arc::new(FeasibilityCache::new())),
+            ..ExactOptions::default()
+        }
+    }
+
+    /// Runs the exact engine on `model` and answers `queries`, exporting
+    /// the engine and feasibility-cache metrics.
+    fn analyze(
+        &self,
+        model: &Model,
+        queries: &[CompiledQuery],
+        opts: &ExactOptions,
+    ) -> Result<(Analysis, Vec<QueryResult>), ApiError> {
+        let analysis = analyze(model, &*scheduler_for(model), opts)?;
+        self.metrics.record_engine(&analysis.stats);
+        let feasibility = opts.feasibility_cache.as_deref();
+        let results = queries
+            .iter()
+            .map(|q| answer_cached(model, &analysis, q, opts.fm_pruning, feasibility))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.record_feasibility(opts);
+        Ok((analysis, results))
+    }
+
+    /// Folds the totals of a run's feasibility memo table into the metrics.
+    fn record_feasibility(&self, opts: &ExactOptions) {
+        if let Some(cache) = &opts.feasibility_cache {
+            let (hits, misses) = cache.counts();
+            self.metrics.record_feasibility(hits, misses);
+        }
+    }
+
+    /// Exports what the pass pipeline did to an optimized model.
+    fn record_opt(&self, model: &Model) {
+        if let Some(info) = model.opt_info() {
+            let r = &info.report;
+            self.metrics
+                .record_opt(r.pass_runs, r.flips_eliminated, r.guards_folded);
+        }
+    }
+
+    /// Looks every key up in the result cache, counting one hit when all
+    /// of them are cached and one miss otherwise.
+    fn probe(&self, keys: &[u64]) -> Option<Vec<Response>> {
+        let hits: Vec<Response> = {
+            let mut cache = self.cache.lock().expect("cache mutex");
+            keys.iter().filter_map(|k| cache.get(k).cloned()).collect()
+        };
+        let hit = hits.len() == keys.len();
+        self.metrics.record_cache(hit);
+        hit.then_some(hits)
+    }
+
+    /// Caches a successful response in memory and, with persistence on,
+    /// appends it (write-behind) to the segment file.
+    fn store(&self, key: u64, response: &Response) {
+        if response.status != 200 {
+            return;
+        }
+        let evictions = {
+            let mut cache = self.cache.lock().expect("cache mutex");
+            cache.insert(key, response.clone());
+            cache.evictions()
+        };
+        self.metrics.set_cache_evictions(evictions);
+        if let Some(store) = &self.persist {
+            store.append(key, response.body.clone());
+        }
+    }
+}
+
+/// A validated streaming request.
+enum Stream {
+    /// A `/v1/batch` whose items are still to run.
+    Batch(BatchRequest),
+    /// A `/v1/sweep`'s per-point responses, computed up front.
+    Sweep(Vec<Response>),
 }
 
 /// One item's source string: its own `source` field if set, else the
@@ -1207,492 +916,84 @@ fn ndjson_frame(index: usize, resp: &Response) -> Vec<u8> {
     frame
 }
 
-/// One grid point's response body: the `/v1/run` shape plus the point's
-/// swept bindings and the sharing route, minus the `stats` object (per-point
-/// statistics are not meaningful under shared exploration — see
-/// `bayonet_exact::SweepResult`). The `text` field is the `bayonet run`
-/// stdout for this point minus its stats bracket.
-fn sweep_point_response(
-    sweep: &SweepResult,
-    grid: &[(String, Vec<Rat>)],
-    point: &[Rat],
-    result: &bayonet_exact::SweepPointResult,
+/// The exact-family body shared by `/v1/run` and each `/v1/sweep` point:
+/// `engine`, then any endpoint-specific `extra` fields, the results, `z`,
+/// `discarded`, the engine `stats` (runs only) and a `text` that is the
+/// `bayonet run` stdout — without its stats bracket when `stats` is `None`.
+fn posterior_response(
+    engine: &str,
+    extra: Vec<(&str, Json)>,
+    results: &[QueryResult],
+    z: &Rat,
+    discarded: &Rat,
+    stats: Option<&EngineStats>,
 ) -> Response {
     let mut text = String::new();
-    for r in &result.results {
-        let _ = write!(text, "{r}");
+    for result in results {
+        let _ = write!(text, "{result}");
     }
-    let _ = writeln!(
-        text,
-        "Z = {} (discarded by observations: {})",
-        result.z, result.discarded
-    );
-    let point_obj: Vec<(String, Json)> = grid
+    let _ = writeln!(text, "Z = {z} (discarded by observations: {discarded})");
+    let mut fields = vec![
+        ("ok", Json::Bool(true)),
+        ("engine", Json::Str(engine.into())),
+    ];
+    fields.extend(extra);
+    fields.push((
+        "results",
+        Json::Arr(results.iter().map(query_result_json).collect()),
+    ));
+    fields.push(("z", Json::Str(z.to_string())));
+    fields.push(("discarded", Json::Str(discarded.to_string())));
+    if let Some(stats) = stats {
+        let _ = writeln!(
+            text,
+            "[{} steps, {} expansions, peak {} configs, {} merge hits]",
+            stats.steps, stats.expansions, stats.peak_configs, stats.merge_hits
+        );
+        fields.push((
+            "stats",
+            Json::obj(vec![
+                ("steps", Json::Num(stats.steps as f64)),
+                ("expansions", Json::Num(stats.expansions as f64)),
+                ("peak_configs", Json::Num(stats.peak_configs as f64)),
+                ("merge_hits", Json::Num(stats.merge_hits as f64)),
+                ("terminal_configs", Json::Num(stats.terminal_configs as f64)),
+            ]),
+        ));
+    }
+    fields.push(("text", Json::Str(text)));
+    Response::json(200, Json::obj(fields).to_string())
+}
+
+/// The `/v1/check` response: the integrity report, or its errors as a 422.
+fn check_response(program: &Program) -> Result<Response, ApiError> {
+    let report = check(program).map_err(|errors| {
+        let details = errors.iter().map(|e| Json::Str(e.to_string())).collect();
+        let message = format!("{} integrity error(s)", errors.len());
+        ApiError {
+            extra: Some(("details", Json::Arr(details))),
+            ..ApiError::new(422, "check_error", message)
+        }
+    })?;
+    let mut text = String::new();
+    for w in &report.warnings {
+        let _ = writeln!(text, "warning: {}", w.message);
+    }
+    let _ = writeln!(text, "ok: {} warning(s)", report.warnings.len());
+    let warnings = report
+        .warnings
         .iter()
-        .zip(point)
-        .map(|((name, _), value)| (name.clone(), Json::Str(value.to_string())))
+        .map(|w| Json::Str(w.message.clone()))
         .collect();
-    let engine = match sweep.engine {
-        EngineKind::Bdd => "bdd",
-        _ => "exact",
-    };
-    Response::json(
+    Ok(Response::json(
         200,
         Json::obj(vec![
             ("ok", Json::Bool(true)),
-            ("engine", Json::Str(engine.into())),
-            ("route", Json::Str(sweep.route.name().into())),
-            ("point", Json::Obj(point_obj)),
-            (
-                "results",
-                Json::Arr(result.results.iter().map(query_result_json).collect()),
-            ),
-            ("z", Json::Str(result.z.to_string())),
-            ("discarded", Json::Str(result.discarded.to_string())),
+            ("warnings", Json::Arr(warnings)),
             ("text", Json::Str(text)),
         ])
         .to_string(),
-    )
-}
-
-/// The decoded body of a `/v1/sweep` request.
-struct SweepRequest {
-    source: String,
-    /// Exact backends only (`exact`/`enum`, `bdd`, or `auto` resolved by
-    /// the sweep engine); sampling engines cannot share work across points.
-    engine: Engine,
-    /// Fixed (non-swept) parameter bindings, sorted by name.
-    bindings: Vec<(String, Rat)>,
-    /// Swept parameters with their value lists, sorted by name. The grid is
-    /// their cartesian product, row-major in this order: the last-sorted
-    /// parameter varies fastest, and frame `index` follows this order.
-    sweep: Vec<(String, Vec<Rat>)>,
-    timeout_ms: Option<u64>,
-    threads: Option<usize>,
-    /// Whether to run the model-optimization pass pipeline (default true).
-    passes: bool,
-}
-
-impl SweepRequest {
-    fn from_http(req: &Request) -> Result<SweepRequest, ApiError> {
-        let bad = |message: String, field: Option<String>| ApiError {
-            status: 400,
-            kind: "bad_request",
-            message,
-            field,
-        };
-        let body = req.body_str().map_err(|e| bad(e.to_string(), None))?;
-        let doc = json::parse(body).map_err(|e| bad(e.to_string(), None))?;
-        let Some(pairs) = doc.as_obj() else {
-            return Err(bad("request body must be a JSON object".into(), None));
-        };
-
-        let known = [
-            "source",
-            "program",
-            "sweep",
-            "engine",
-            "bindings",
-            "timeout_ms",
-            "threads",
-            "passes",
-        ];
-        for (key, _) in pairs {
-            if !known.contains(&key.as_str()) {
-                return Err(bad(
-                    format!(
-                        "unknown sweep field `{key}` (known fields: {})",
-                        known.join(", ")
-                    ),
-                    Some(key.clone()),
-                ));
-            }
-        }
-
-        // `program` is accepted as an alias for `source` (a grid file pairs
-        // naturally with a program file); setting both is ambiguous.
-        let source_field = doc.get("source").filter(|v| !matches!(v, Json::Null));
-        let program_field = doc.get("program").filter(|v| !matches!(v, Json::Null));
-        if source_field.is_some() && program_field.is_some() {
-            return Err(bad(
-                "`program` conflicts with `source`; set exactly one".into(),
-                Some("program".into()),
-            ));
-        }
-        let source = match source_field.or(program_field) {
-            Some(Json::Str(s)) => s.clone(),
-            Some(_) => {
-                return Err(bad(
-                    "`source` must be a string".into(),
-                    Some("source".into()),
-                ))
-            }
-            None => {
-                return Err(bad(
-                    "missing required string field `source`".into(),
-                    Some("source".into()),
-                ))
-            }
-        };
-
-        let engine = match doc.get("engine").map(|e| (e, e.as_str())) {
-            None => Engine::Exact,
-            Some((_, Some("exact" | "enum"))) => Engine::Exact,
-            Some((_, Some("bdd"))) => Engine::Bdd,
-            Some((_, Some("auto"))) => Engine::Auto,
-            Some((_, Some("smc" | "rejection"))) => {
-                return Err(bad(
-                    "sweeps are exact-only (known engines: exact, enum, bdd, auto); \
-                     sampling engines cannot share work across grid points"
-                        .into(),
-                    Some("engine".into()),
-                ))
-            }
-            Some((v, _)) => {
-                return Err(bad(
-                    format!("unknown engine {v} (known engines: exact, enum, bdd, auto)"),
-                    Some("engine".into()),
-                ))
-            }
-        };
-
-        let mut bindings = Vec::new();
-        match doc.get("bindings") {
-            None | Some(Json::Null) => {}
-            Some(Json::Obj(pairs)) => {
-                for (name, value) in pairs {
-                    let rat = rat_from_json(value).ok_or_else(|| {
-                        bad(
-                            format!(
-                                "binding `{name}` must be an integer or a rational string \
-                                 like \"1/2\""
-                            ),
-                            Some(format!("bindings.{name}")),
-                        )
-                    })?;
-                    bindings.push((name.clone(), rat));
-                }
-            }
-            Some(_) => {
-                return Err(bad(
-                    "`bindings` must be an object".into(),
-                    Some("bindings".into()),
-                ))
-            }
-        }
-        bindings.sort_by(|a, b| a.0.cmp(&b.0));
-
-        let mut sweep: Vec<(String, Vec<Rat>)> = Vec::new();
-        match doc.get("sweep") {
-            None | Some(Json::Null) => {
-                return Err(bad(
-                    "missing required object field `sweep`".into(),
-                    Some("sweep".into()),
-                ))
-            }
-            Some(Json::Obj(grid)) => {
-                if grid.is_empty() {
-                    return Err(bad(
-                        "`sweep` must name at least one parameter".into(),
-                        Some("sweep".into()),
-                    ));
-                }
-                for (name, values) in grid {
-                    let field = format!("sweep.{name}");
-                    let Some(arr) = values.as_arr() else {
-                        return Err(bad(
-                            format!("`{field}` must be an array of values"),
-                            Some(field),
-                        ));
-                    };
-                    if arr.is_empty() {
-                        return Err(bad(
-                            format!("`{field}` must contain at least one value"),
-                            Some(field),
-                        ));
-                    }
-                    if sweep.iter().any(|(n, _)| n == name) {
-                        return Err(bad(
-                            format!("parameter `{name}` appears twice in `sweep`"),
-                            Some(field),
-                        ));
-                    }
-                    let mut vals = Vec::with_capacity(arr.len());
-                    for v in arr {
-                        vals.push(rat_from_json(v).ok_or_else(|| {
-                            bad(
-                                format!(
-                                    "values in `{field}` must be integers or rational \
-                                     strings like \"1/2\""
-                                ),
-                                Some(field.clone()),
-                            )
-                        })?);
-                    }
-                    sweep.push((name.clone(), vals));
-                }
-            }
-            Some(_) => {
-                return Err(bad(
-                    "`sweep` must be an object mapping parameter names to value arrays".into(),
-                    Some("sweep".into()),
-                ))
-            }
-        }
-        sweep.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, _) in &sweep {
-            if bindings.iter().any(|(b, _)| b == name) {
-                return Err(bad(
-                    format!("parameter `{name}` is set in both `bindings` and `sweep`"),
-                    Some(format!("sweep.{name}")),
-                ));
-            }
-        }
-        let total = sweep
-            .iter()
-            .fold(1usize, |acc, (_, v)| acc.saturating_mul(v.len()));
-        if total > MAX_SWEEP_POINTS {
-            return Err(bad(
-                format!("sweep grid has {total} points; the maximum is {MAX_SWEEP_POINTS}"),
-                Some("sweep".into()),
-            ));
-        }
-
-        let bounded = |name: &'static str, lo: u64, hi: u64| -> Result<Option<u64>, ApiError> {
-            match doc.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                Some(v) => match v.as_u64() {
-                    Some(n) if (lo..=hi).contains(&n) => Ok(Some(n)),
-                    Some(n) => Err(bad(
-                        format!("`{name}` must be between {lo} and {hi}, got {n}"),
-                        Some(name.to_string()),
-                    )),
-                    None => Err(bad(
-                        format!("`{name}` must be a nonnegative integer"),
-                        Some(name.to_string()),
-                    )),
-                },
-            }
-        };
-        let timeout_ms = bounded("timeout_ms", 1, MAX_TIMEOUT_MS)?;
-        let threads = bounded("threads", 1, MAX_REQUEST_THREADS)?.map(|v| v as usize);
-
-        // Defaults to *true*, matching `/v1/run` and the CLI.
-        let passes = match doc.get("passes") {
-            None | Some(Json::Null) => true,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| bad("`passes` must be a boolean".into(), Some("passes".into())))?,
-        };
-
-        Ok(SweepRequest {
-            source,
-            engine,
-            bindings,
-            sweep,
-            timeout_ms,
-            threads,
-            passes,
-        })
-    }
-
-    /// The full grid: cartesian product of the per-parameter value lists,
-    /// row-major over the name-sorted parameter order.
-    fn points(&self) -> Vec<Vec<Rat>> {
-        let mut points: Vec<Vec<Rat>> = vec![Vec::new()];
-        for (_, values) in &self.sweep {
-            let mut next = Vec::with_capacity(points.len() * values.len());
-            for prefix in &points {
-                for v in values {
-                    let mut row = prefix.clone();
-                    row.push(v.clone());
-                    next.push(row);
-                }
-            }
-            points = next;
-        }
-        points
-    }
-
-    /// Cache key for one grid point's response body. Sweep bodies carry
-    /// extra fields (`point`, `route`) and omit `stats`, so they live under
-    /// sweep-specific keys rather than sharing `/v1/run` entries.
-    fn point_key(&self, canonical_program: &str, point: &[Rat]) -> u64 {
-        let mut h = DefaultHasher::new();
-        "/v1/sweep".hash(&mut h);
-        canonical_program.hash(&mut h);
-        self.engine.name().hash(&mut h);
-        self.passes.hash(&mut h);
-        for (name, value) in &self.bindings {
-            name.hash(&mut h);
-            value.to_string().hash(&mut h);
-        }
-        for ((name, _), value) in self.sweep.iter().zip(point) {
-            name.hash(&mut h);
-            value.to_string().hash(&mut h);
-        }
-        h.finish()
-    }
-}
-
-/// Decodes one parameter value: a JSON integer or a rational string like
-/// `"1/2"` — the same forms `bindings` accepts.
-fn rat_from_json(value: &Json) -> Option<Rat> {
-    match value {
-        Json::Str(s) => s.parse::<Rat>().ok(),
-        Json::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => Some(Rat::ratio(*n as i64, 1)),
-        _ => None,
-    }
-}
-
-/// One distinct source's shared parse → check → compile outcome.
-struct PreparedSource {
-    /// Canonical pretty-printed program (empty when parsing failed).
-    canonical: String,
-    /// A compiled model template cloned per item, or the structured error
-    /// every item with this source reports.
-    outcome: Result<Model, ApiError>,
-}
-
-/// Result of the batch scan phase.
-struct BatchPrep {
-    /// Shared outcome per distinct raw source text.
-    by_source: HashMap<String, Arc<PreparedSource>>,
-    /// Distinct canonical programs actually compiled.
-    compiles: u64,
-    /// Distinct outcomes built (compiles plus parse failures); everything
-    /// else was a reuse.
-    fresh: u64,
-}
-
-/// Counters from one batch run, for `bayonet_batch_*` metrics.
-struct BatchStats {
-    items: u64,
-    item_errors: u64,
-    compiles: u64,
-    source_reuse: u64,
-}
-
-/// The decoded body of a `/v1/batch` request.
-struct BatchRequest {
-    /// The raw per-item JSON objects, validated to be objects.
-    items: Vec<Json>,
-    /// Batch-level shared program source, if any.
-    shared_source: Option<String>,
-    /// Batch-level deadline budget covering all items.
-    timeout_ms: Option<u64>,
-}
-
-impl BatchRequest {
-    fn from_http(req: &Request) -> Result<BatchRequest, ApiError> {
-        let bad = |message: String, field: Option<String>| ApiError {
-            status: 400,
-            kind: "bad_request",
-            message,
-            field,
-        };
-        let body = req.body_str().map_err(|e| bad(e.to_string(), None))?;
-        let doc = json::parse(body).map_err(|e| bad(e.to_string(), None))?;
-        let Some(pairs) = doc.as_obj() else {
-            return Err(bad("request body must be a JSON object".into(), None));
-        };
-
-        let known = ["source", "items", "timeout_ms"];
-        for (key, _) in pairs {
-            if !known.contains(&key.as_str()) {
-                return Err(bad(
-                    format!(
-                        "unknown batch field `{key}` (known fields: {})",
-                        known.join(", ")
-                    ),
-                    Some(key.clone()),
-                ));
-            }
-        }
-
-        let shared_source = match doc.get("source") {
-            None | Some(Json::Null) => None,
-            Some(Json::Str(s)) => Some(s.clone()),
-            Some(_) => {
-                return Err(bad(
-                    "`source` must be a string".into(),
-                    Some("source".into()),
-                ))
-            }
-        };
-        let timeout_ms = match doc.get("timeout_ms") {
-            None | Some(Json::Null) => None,
-            Some(v) => match v.as_u64() {
-                Some(ms) if (1..=MAX_TIMEOUT_MS).contains(&ms) => Some(ms),
-                Some(ms) => {
-                    return Err(bad(
-                        format!("`timeout_ms` must be between 1 and {MAX_TIMEOUT_MS}, got {ms}"),
-                        Some("timeout_ms".into()),
-                    ))
-                }
-                None => {
-                    return Err(bad(
-                        "`timeout_ms` must be a nonnegative integer".into(),
-                        Some("timeout_ms".into()),
-                    ))
-                }
-            },
-        };
-
-        let items = match doc.get("items") {
-            None => {
-                return Err(bad(
-                    "missing required array field `items`".into(),
-                    Some("items".into()),
-                ))
-            }
-            Some(v) => match v.as_arr() {
-                Some(items) => items.to_vec(),
-                None => return Err(bad("`items` must be an array".into(), Some("items".into()))),
-            },
-        };
-        if items.is_empty() || items.len() > MAX_BATCH_ITEMS {
-            return Err(bad(
-                format!(
-                    "`items` must contain between 1 and {MAX_BATCH_ITEMS} items, got {}",
-                    items.len()
-                ),
-                Some("items".into()),
-            ));
-        }
-        for (i, item) in items.iter().enumerate() {
-            if item.as_obj().is_none() {
-                return Err(bad(
-                    format!("batch item {i} must be a JSON object"),
-                    Some(format!("items[{i}]")),
-                ));
-            }
-            let has_own_source = matches!(item.get("source"), Some(v) if !matches!(v, Json::Null));
-            if shared_source.is_some() && has_own_source {
-                return Err(bad(
-                    format!(
-                        "batch item {i} sets `source` while the batch has a shared top-level \
-                         `source`; use one or the other"
-                    ),
-                    Some(format!("items[{i}].source")),
-                ));
-            }
-        }
-
-        Ok(BatchRequest {
-            items,
-            shared_source,
-            timeout_ms,
-        })
-    }
-
-    /// The batch-level deadline covering every item.
-    fn deadline(&self) -> Deadline {
-        match self.timeout_ms {
-            Some(ms) => Deadline::after(Duration::from_millis(ms)),
-            None => Deadline::unlimited(),
-        }
-    }
+    ))
 }
 
 /// Collapses request paths onto a bounded label set, so hostile paths
@@ -1735,6 +1036,136 @@ fn query_result_json(result: &QueryResult) -> Json {
     ])
 }
 
+/// The structured 422 for a request whose cheapest cost estimate exceeds
+/// its deadline budget (`"engine": "auto"` only — explicit engines keep the
+/// run-then-interrupt contract). The `plan` object carries the estimates so
+/// the client can raise `timeout_ms` by an informed amount, pick an engine
+/// explicitly, or shrink the program. See `docs/SERVER.md`.
+fn infeasible(plan: &Plan, needed_ns: u64) -> ApiError {
+    let ms = |ns: u64| Json::Num((ns as f64 / 1e6 * 1000.0).round() / 1000.0);
+    let mut plan_obj = vec![
+        ("needed_ms", ms(needed_ns)),
+        ("budget_ms", plan.budget_ns.map_or(Json::Null, ms)),
+        ("est_expansions", Json::Num(plan.est_expansions as f64)),
+        ("est_enum_ms", ms(plan.est_enum_ns)),
+    ];
+    if let Some(ns) = plan.est_bdd_ns {
+        plan_obj.push(("est_bdd_ms", ms(ns)));
+    }
+    if let (Some(ns), Some(particles)) = (plan.est_smc_ns, plan.particles) {
+        plan_obj.push(("est_smc_ms", ms(ns)));
+        plan_obj.push(("est_smc_particles", Json::Num(particles as f64)));
+    }
+    let message = format!(
+        "planner estimates {:.1} ms of work for the cheapest eligible engine but the \
+         deadline budget is {:.1} ms; raise timeout_ms, select an engine explicitly, or \
+         shrink the program",
+        needed_ns as f64 / 1e6,
+        plan.budget_ns.unwrap_or(0) as f64 / 1e6,
+    );
+    ApiError {
+        status: 422,
+        kind: "infeasible_deadline",
+        extra: Some(("plan", Json::obj(plan_obj))),
+        ..bad(message, "timeout_ms")
+    }
+}
+
+/// A structured API error, rendered as `{"ok":false,"error":{...}}`.
+/// When the error is about one specific request field, `field` names it
+/// machine-readably alongside the human message. `Clone` lets a batch
+/// report one shared compile failure from every affected item.
+#[derive(Clone)]
+struct ApiError {
+    status: u16,
+    kind: &'static str,
+    message: String,
+    field: Option<String>,
+    /// One more structured entry: the planner's `plan` estimates on an
+    /// `infeasible_deadline` rejection, the `details` of a `/v1/check`
+    /// failure.
+    extra: Option<(&'static str, Json)>,
+}
+
+impl ApiError {
+    fn new(status: u16, kind: &'static str, message: impl Into<String>) -> ApiError {
+        ApiError {
+            status,
+            kind,
+            message: message.into(),
+            field: None,
+            extra: None,
+        }
+    }
+
+    fn into_response(self) -> Response {
+        let mut error = vec![
+            ("kind", Json::Str(self.kind.into())),
+            ("message", Json::Str(self.message)),
+        ];
+        if let Some(field) = self.field {
+            error.push(("field", Json::Str(field)));
+        }
+        error.extend(self.extra);
+        Response::json(
+            self.status,
+            Json::obj(vec![("ok", Json::Bool(false)), ("error", Json::obj(error))]).to_string(),
+        )
+    }
+}
+
+/// A `400 bad_request` about one request field.
+fn bad(message: impl Into<String>, field: impl Into<String>) -> ApiError {
+    ApiError {
+        field: Some(field.into()),
+        ..ApiError::new(400, "bad_request", message)
+    }
+}
+
+/// The one engine-error map: an interrupted run is a `504 timeout`, any
+/// other engine failure a `422 engine_error`.
+fn engine_failure(interrupted: bool, e: &dyn Display) -> ApiError {
+    if interrupted {
+        ApiError::new(504, "timeout", e.to_string())
+    } else {
+        ApiError::new(422, "engine_error", e.to_string())
+    }
+}
+
+impl From<&ExactError> for ApiError {
+    fn from(e: &ExactError) -> ApiError {
+        engine_failure(matches!(e, ExactError::Interrupted { .. }), e)
+    }
+}
+
+impl From<ExactError> for ApiError {
+    fn from(e: ExactError) -> ApiError {
+        ApiError::from(&e)
+    }
+}
+
+impl From<ApproxError> for ApiError {
+    fn from(e: ApproxError) -> ApiError {
+        engine_failure(matches!(e, ApproxError::Interrupted { .. }), &e)
+    }
+}
+
+/// The deadline for an optional `timeout_ms` budget that never outlives
+/// `within` (a batch's deadline, or unlimited).
+fn deadline_within(within: &Deadline, timeout_ms: Option<u64>) -> Deadline {
+    timeout_ms.map_or_else(
+        || within.clone(),
+        |ms| within.clamped(Duration::from_millis(ms)),
+    )
+}
+
+fn check_query(idx: usize, len: usize) -> Result<(), ApiError> {
+    let message = format!("query index {idx} out of range ({len} queries declared)");
+    (idx < len)
+        .then_some(())
+        .ok_or_else(|| bad(message, "query"))
+}
+
 /// Inference engines the service can run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Engine {
@@ -1763,318 +1194,207 @@ impl Engine {
             Engine::Auto => "auto",
         }
     }
-}
 
-/// A structured API error, rendered as `{"ok":false,"error":{...}}`.
-/// When the error is about one specific request field, `field` names it
-/// machine-readably alongside the human message. `Clone` lets a batch
-/// report one shared compile failure from every affected item.
-#[derive(Clone)]
-struct ApiError {
-    status: u16,
-    kind: &'static str,
-    message: String,
-    field: Option<String>,
-}
-
-impl ApiError {
-    fn into_response(self) -> Response {
-        let mut error = vec![
-            ("kind", Json::Str(self.kind.into())),
-            ("message", Json::Str(self.message)),
-        ];
-        if let Some(field) = self.field {
-            error.push(("field", Json::Str(field)));
-        }
-        Response::json(
-            self.status,
-            Json::obj(vec![("ok", Json::Bool(false)), ("error", Json::obj(error))]).to_string(),
-        )
+    /// The exact family, which runs the optimized model.
+    fn is_exact(self) -> bool {
+        !matches!(self, Engine::Smc | Engine::Rejection)
     }
 }
 
-/// The structured 422 for a request whose cheapest cost estimate exceeds
-/// its deadline budget (`"engine": "auto"` only — explicit engines keep the
-/// run-then-interrupt contract). The `plan` object carries the estimates so
-/// the client can raise `timeout_ms` by an informed amount, pick an engine
-/// explicitly, or shrink the program. See `docs/SERVER.md`.
-fn infeasible_response(plan: &Plan, needed_ns: u64) -> Response {
-    let ms = |ns: u64| Json::Num((ns as f64 / 1e6 * 1000.0).round() / 1000.0);
-    let mut plan_obj = vec![
-        ("needed_ms", ms(needed_ns)),
-        ("budget_ms", plan.budget_ns.map_or(Json::Null, ms)),
-        ("est_expansions", Json::Num(plan.est_expansions as f64)),
-        ("est_enum_ms", ms(plan.est_enum_ns)),
-    ];
-    if let Some(ns) = plan.est_bdd_ns {
-        plan_obj.push(("est_bdd_ms", ms(ns)));
-    }
-    if let (Some(ns), Some(particles)) = (plan.est_smc_ns, plan.particles) {
-        plan_obj.push(("est_smc_ms", ms(ns)));
-        plan_obj.push(("est_smc_particles", Json::Num(particles as f64)));
-    }
-    let error = vec![
-        ("kind", Json::Str("infeasible_deadline".into())),
-        (
-            "message",
-            Json::Str(format!(
-                "planner estimates {:.1} ms of work for the cheapest eligible \
-                 engine but the deadline budget is {:.1} ms; raise timeout_ms, \
-                 select an engine explicitly, or shrink the program",
-                needed_ns as f64 / 1e6,
-                plan.budget_ns.unwrap_or(0) as f64 / 1e6,
+/// Reads a request body as one JSON value.
+fn decode_body(req: &Request) -> Result<Json, ApiError> {
+    json::parse(req.body_str().map_err(malformed)?).map_err(malformed)
+}
+
+/// A `400 bad_request` about the body as a whole.
+fn malformed(e: impl Display) -> ApiError {
+    ApiError::new(400, "bad_request", e.to_string())
+}
+
+/// The one request-field reader. Every endpoint decodes its JSON object
+/// through these checks, so a given field fails with one message (and one
+/// `error.field`) everywhere.
+struct Fields<'a>(&'a Json);
+
+impl<'a> Fields<'a> {
+    /// Opens a `noun` ("request", "batch", "sweep") object whose keys must
+    /// all appear in `known`.
+    fn open(doc: &'a Json, noun: &str, known: &[&str]) -> Result<Fields<'a>, ApiError> {
+        let Some(pairs) = doc.as_obj() else {
+            return Err(malformed("request body must be a JSON object"));
+        };
+        // Named structurally (`error.field`) so clients can catch a typo
+        // like `"cache": false` programmatically instead of having it
+        // silently change nothing.
+        match pairs.iter().find(|(key, _)| !known.contains(&key.as_str())) {
+            Some((key, _)) => Err(bad(
+                format!(
+                    "unknown {noun} field `{key}` (known fields: {})",
+                    known.join(", ")
+                ),
+                key.clone(),
             )),
-        ),
-        ("field", Json::Str("timeout_ms".into())),
-        ("plan", Json::obj(plan_obj)),
-    ];
-    Response::json(
-        422,
-        Json::obj(vec![("ok", Json::Bool(false)), ("error", Json::obj(error))]).to_string(),
-    )
-}
+            None => Ok(Fields(doc)),
+        }
+    }
 
-fn exact_error(e: ExactError) -> ApiError {
-    exact_error_ref(&e)
-}
+    /// A field that is present and not `null`.
+    fn get(&self, name: &str) -> Option<&'a Json> {
+        self.0.get(name).filter(|v| !matches!(v, Json::Null))
+    }
 
-/// By-reference variant for per-point sweep errors, which stay owned by the
-/// [`bayonet_exact::SweepResult`].
-fn exact_error_ref(e: &ExactError) -> ApiError {
-    match e {
-        ExactError::Interrupted { .. } => ApiError {
-            status: 504,
-            kind: "timeout",
-            message: e.to_string(),
-            field: None,
-        },
-        other => ApiError {
-            status: 422,
-            kind: "engine_error",
-            message: other.to_string(),
-            field: None,
-        },
+    fn string(&self, name: &str) -> Result<Option<String>, ApiError> {
+        match self.get(name) {
+            None => Ok(None),
+            Some(Json::Str(s)) => Ok(Some(s.clone())),
+            Some(_) => Err(bad(format!("`{name}` must be a string"), name)),
+        }
+    }
+
+    fn uint(&self, name: &str) -> Result<Option<u64>, ApiError> {
+        self.get(name)
+            .map(|v| {
+                v.as_u64()
+                    .ok_or_else(|| bad(format!("`{name}` must be a nonnegative integer"), name))
+            })
+            .transpose()
+    }
+
+    /// A bounded integer knob: wrong type, negative, zero, and
+    /// out-of-range values are all structured 400s, never silent defaults.
+    /// `timeout_ms: 0` would be a deadline that has already expired, and
+    /// `threads: 0` a run with no workers — both are client mistakes worth
+    /// naming.
+    fn bounded(&self, name: &str, lo: u64, hi: u64) -> Result<Option<u64>, ApiError> {
+        match self.uint(name)? {
+            Some(v) if !(lo..=hi).contains(&v) => Err(bad(
+                format!("`{name}` must be between {lo} and {hi}, got {v}"),
+                name,
+            )),
+            v => Ok(v),
+        }
+    }
+
+    fn flag(&self, name: &str, default: bool) -> Result<bool, ApiError> {
+        self.get(name).map_or(Ok(default), |v| {
+            v.as_bool()
+                .ok_or_else(|| bad(format!("`{name}` must be a boolean"), name))
+        })
+    }
+
+    /// The `engine` field; a sweep accepts only the exact family. Unlike
+    /// other fields, an explicit `null` is a bad value, not an absent one.
+    fn engine(&self, exact_only: bool) -> Result<Engine, ApiError> {
+        let Some(v) = self.0.get("engine") else {
+            return Ok(Engine::Exact);
+        };
+        let known = if exact_only {
+            "exact, enum, bdd, auto"
+        } else {
+            "exact, enum, bdd, smc, rejection, auto"
+        };
+        match (v.as_str(), exact_only) {
+            (Some("exact" | "enum"), _) => Ok(Engine::Exact),
+            (Some("bdd"), _) => Ok(Engine::Bdd),
+            (Some("auto"), _) => Ok(Engine::Auto),
+            (Some("smc"), false) => Ok(Engine::Smc),
+            (Some("rejection"), false) => Ok(Engine::Rejection),
+            (Some("smc" | "rejection"), true) => Err(bad(
+                format!(
+                    "sweeps are exact-only (known engines: {known}); sampling engines \
+                     cannot share work across grid points"
+                ),
+                "engine",
+            )),
+            _ => Err(bad(
+                format!("unknown engine {v} (known engines: {known})"),
+                "engine",
+            )),
+        }
+    }
+
+    /// Parameter bindings, sorted by name for canonical hashing.
+    fn bindings(&self) -> Result<Vec<(String, Rat)>, ApiError> {
+        let mut bindings = match self.get("bindings") {
+            None => Vec::new(),
+            Some(Json::Obj(pairs)) => pairs
+                .iter()
+                .map(|(name, value)| {
+                    let rat = rat_from_json(value).ok_or_else(|| {
+                        bad(
+                            format!(
+                                "binding `{name}` must be an integer or a rational string \
+                                 like \"1/2\""
+                            ),
+                            format!("bindings.{name}"),
+                        )
+                    })?;
+                    Ok((name.clone(), rat))
+                })
+                .collect::<Result<Vec<_>, ApiError>>()?,
+            Some(_) => return Err(bad("`bindings` must be an object", "bindings")),
+        };
+        bindings.sort_by(|a, b| a.0.cmp(&b.0));
+        Ok(bindings)
     }
 }
 
-fn approx_error(e: ApproxError) -> ApiError {
-    match e {
-        ApproxError::Interrupted { .. } => ApiError {
-            status: 504,
-            kind: "timeout",
-            message: e.to_string(),
-            field: None,
-        },
-        other => ApiError {
-            status: 422,
-            kind: "engine_error",
-            message: other.to_string(),
-            field: None,
-        },
+/// Decodes one parameter value: a JSON integer or a rational string like
+/// `"1/2"`.
+fn rat_from_json(value: &Json) -> Option<Rat> {
+    match value {
+        Json::Str(s) => s.parse::<Rat>().ok(),
+        Json::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => Some(Rat::ratio(*n as i64, 1)),
+        _ => None,
     }
 }
 
-/// The decoded body of a `/v1/*` inference request.
+/// The decoded body of a `/v1/check`, `/v1/run` or `/v1/synthesize`
+/// request, or of one `/v1/batch` item.
 struct InferenceRequest {
     source: String,
     engine: Engine,
     query: Option<usize>,
     /// Parameter bindings, sorted by name for canonical hashing.
     bindings: Vec<(String, Rat)>,
-    particles: Option<usize>,
-    seed: Option<u64>,
     timeout_ms: Option<u64>,
-    /// Requested exact-engine worker threads; validated at parse time and
+    /// Requested exact-engine worker threads; validated at decode time and
     /// clamped to the server's pool capacity at execution time.
     threads: Option<usize>,
-    maximize: bool,
-    allow_zero_params: bool,
     /// Whether to run the model-optimization pass pipeline (default true;
     /// `"passes": false` mirrors the CLI's `--no-opt`). Part of the cache
     /// key: pass-on and pass-off runs report different engine stats.
     passes: bool,
+    particles: Option<usize>,
+    seed: Option<u64>,
+    maximize: bool,
+    allow_zero_params: bool,
 }
 
 impl InferenceRequest {
-    fn from_http(req: &Request) -> Result<InferenceRequest, ApiError> {
-        let bad = |message: String| ApiError {
-            status: 400,
-            kind: "bad_request",
-            message,
-            field: None,
-        };
-        let body = req.body_str().map_err(|e| bad(e.to_string()))?;
-        let doc = json::parse(body).map_err(|e| bad(e.to_string()))?;
-        InferenceRequest::from_json(&doc, None)
-    }
-
-    /// Decodes one inference request from an already parsed JSON object —
-    /// either a whole `/v1/*` request body or one `/v1/batch` item. With
-    /// `shared_source` set, an item missing its own `source` inherits it;
-    /// every validation message matches the single-request path exactly, so
-    /// batch frames stay byte-identical to `/v1/run` responses.
-    fn from_json(doc: &Json, shared_source: Option<&str>) -> Result<InferenceRequest, ApiError> {
-        let bad = |message: String| ApiError {
-            status: 400,
-            kind: "bad_request",
-            message,
-            field: None,
-        };
-        if doc.as_obj().is_none() {
-            return Err(bad("request body must be a JSON object".into()));
-        }
-
-        let known = [
-            "source",
-            "engine",
-            "query",
-            "bindings",
-            "particles",
-            "seed",
-            "timeout_ms",
-            "threads",
-            "maximize",
-            "allow_zero_params",
-            "passes",
-        ];
-        for (key, _) in doc.as_obj().expect("checked") {
-            if !known.contains(&key.as_str()) {
-                // Named structurally (`error.field`) so clients can catch a
-                // typo like `"cache": false` programmatically instead of
-                // having it silently change nothing.
-                return Err(ApiError {
-                    status: 400,
-                    kind: "bad_request",
-                    message: format!(
-                        "unknown request field `{key}` (known fields: {})",
-                        known.join(", ")
-                    ),
-                    field: Some(key.clone()),
-                });
-            }
-        }
-
-        let source = doc
-            .get("source")
-            .and_then(Json::as_str)
-            .or(shared_source)
-            .ok_or_else(|| bad("missing required string field `source`".into()))?
-            .to_string();
-        let engine = match doc.get("engine").map(|e| (e, e.as_str())) {
-            None => Engine::Exact,
-            Some((_, Some("exact" | "enum"))) => Engine::Exact,
-            Some((_, Some("bdd"))) => Engine::Bdd,
-            Some((_, Some("smc"))) => Engine::Smc,
-            Some((_, Some("rejection"))) => Engine::Rejection,
-            Some((_, Some("auto"))) => Engine::Auto,
-            Some((v, _)) => {
-                return Err(ApiError {
-                    status: 400,
-                    kind: "bad_request",
-                    message: format!(
-                        "unknown engine {v} (known engines: exact, enum, bdd, smc, rejection, auto)"
-                    ),
-                    field: Some("engine".into()),
-                })
-            }
-        };
-        let query = match doc.get("query") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| bad("`query` must be a nonnegative integer".into()))?
-                    as usize,
-            ),
-        };
-        let mut bindings = Vec::new();
-        match doc.get("bindings") {
-            None | Some(Json::Null) => {}
-            Some(Json::Obj(pairs)) => {
-                for (name, value) in pairs {
-                    let rat = match value {
-                        Json::Str(s) => s
-                            .parse::<Rat>()
-                            .map_err(|e| bad(format!("bad binding for `{name}`: {e}")))?,
-                        Json::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => {
-                            Rat::ratio(*n as i64, 1)
-                        }
-                        _ => {
-                            return Err(bad(format!(
-                                "binding `{name}` must be an integer or a rational string \
-                                 like \"1/2\""
-                            )))
-                        }
-                    };
-                    bindings.push((name.clone(), rat));
-                }
-            }
-            Some(_) => return Err(bad("`bindings` must be an object".into())),
-        }
-        bindings.sort_by(|a, b| a.0.cmp(&b.0));
-
-        let int_field = |name: &str| -> Result<Option<u64>, ApiError> {
-            match doc.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                Some(v) => v
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| bad(format!("`{name}` must be a nonnegative integer"))),
-            }
-        };
-        let bool_field = |name: &str| -> Result<bool, ApiError> {
-            match doc.get(name) {
-                None | Some(Json::Null) => Ok(false),
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| bad(format!("`{name}` must be a boolean"))),
-            }
-        };
-
-        // Bounded integer knobs: wrong type, negative, zero, and
-        // out-of-range values are all structured 400s, never silent
-        // defaults. `timeout_ms: 0` would be a deadline that has already
-        // expired, and `threads: 0` a run with no workers — both are
-        // client mistakes worth naming.
-        let bounded_field = |name: &str, lo: u64, hi: u64| -> Result<Option<u64>, ApiError> {
-            match int_field(name)? {
-                None => Ok(None),
-                Some(v) if (lo..=hi).contains(&v) => Ok(Some(v)),
-                Some(v) => Err(bad(format!(
-                    "`{name}` must be between {lo} and {hi}, got {v}"
-                ))),
-            }
-        };
-        let timeout_ms = bounded_field("timeout_ms", 1, MAX_TIMEOUT_MS)?;
-        let threads = bounded_field("threads", 1, MAX_REQUEST_THREADS)?.map(|v| v as usize);
-
-        // Unlike the other boolean knobs, `passes` defaults to *true*.
-        let passes = match doc.get("passes") {
-            None | Some(Json::Null) => true,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| bad("`passes` must be a boolean".into()))?,
-        };
-
+    /// Decodes a request body, or a batch item that inherits `shared` when
+    /// it has no `source` of its own. Fields are checked in declaration
+    /// order and the first bad one is reported.
+    fn decode(doc: &Json, shared: Option<&str>) -> Result<InferenceRequest, ApiError> {
+        let f = Fields::open(doc, "request", RUN_FIELDS)?;
         Ok(InferenceRequest {
-            source,
-            engine,
-            query,
-            bindings,
-            particles: int_field("particles")?.map(|v| v as usize),
-            seed: int_field("seed")?,
-            timeout_ms,
-            threads,
-            maximize: bool_field("maximize")?,
-            allow_zero_params: bool_field("allow_zero_params")?,
-            passes,
+            source: item_source(doc, shared)
+                .ok_or_else(|| bad("missing required string field `source`", "source"))?
+                .to_string(),
+            engine: f.engine(false)?,
+            query: f.uint("query")?.map(|v| v as usize),
+            bindings: f.bindings()?,
+            timeout_ms: f.bounded("timeout_ms", 1, MAX_TIMEOUT_MS)?,
+            threads: f
+                .bounded("threads", 1, MAX_REQUEST_THREADS)?
+                .map(|v| v as usize),
+            // Unlike the other boolean knobs, `passes` defaults to *true*.
+            passes: f.flag("passes", true)?,
+            particles: f.uint("particles")?.map(|v| v as usize),
+            seed: f.uint("seed")?,
+            maximize: f.flag("maximize", false)?,
+            allow_zero_params: f.flag("allow_zero_params", false)?,
         })
-    }
-
-    fn deadline(&self) -> Deadline {
-        match self.timeout_ms {
-            Some(ms) => Deadline::after(Duration::from_millis(ms)),
-            None => Deadline::unlimited(),
-        }
     }
 
     fn cache_key(&self, endpoint: &str, canonical_program: &str) -> u64 {
@@ -2094,71 +1414,336 @@ impl InferenceRequest {
         }
         h.finish()
     }
+}
 
-    fn check_query_index(&self, idx: usize, len: usize) -> Result<(), ApiError> {
-        if idx < len {
-            Ok(())
+/// The decoded body of a `/v1/batch` request.
+struct BatchRequest {
+    /// The raw per-item JSON objects, validated to be objects; each is
+    /// decoded by its lane.
+    items: Vec<Json>,
+    /// Batch-level shared program source, if any.
+    shared_source: Option<String>,
+    /// The batch-level `timeout_ms` budget covering every item.
+    deadline: Deadline,
+}
+
+impl BatchRequest {
+    fn decode(doc: &Json) -> Result<BatchRequest, ApiError> {
+        let f = Fields::open(doc, "batch", BATCH_FIELDS)?;
+        let shared_source = f.string("source")?;
+        let timeout_ms = f.bounded("timeout_ms", 1, MAX_TIMEOUT_MS)?;
+        let items = doc
+            .get("items")
+            .ok_or_else(|| bad("missing required array field `items`", "items"))?
+            .as_arr()
+            .ok_or_else(|| bad("`items` must be an array", "items"))?;
+        if items.is_empty() || items.len() > MAX_BATCH_ITEMS {
+            return Err(bad(
+                format!(
+                    "`items` must contain between 1 and {MAX_BATCH_ITEMS} items, got {}",
+                    items.len()
+                ),
+                "items",
+            ));
+        }
+        for (i, item) in items.iter().enumerate() {
+            if item.as_obj().is_none() {
+                return Err(bad(
+                    format!("batch item {i} must be a JSON object"),
+                    format!("items[{i}]"),
+                ));
+            }
+            let has_own_source = matches!(item.get("source"), Some(v) if !matches!(v, Json::Null));
+            if shared_source.is_some() && has_own_source {
+                return Err(bad(
+                    format!(
+                        "batch item {i} sets `source` while the batch has a shared top-level \
+                         `source`; use one or the other"
+                    ),
+                    format!("items[{i}].source"),
+                ));
+            }
+        }
+        Ok(BatchRequest {
+            items: items.to_vec(),
+            shared_source,
+            deadline: deadline_within(&Deadline::unlimited(), timeout_ms),
+        })
+    }
+}
+
+/// The decoded body of a `/v1/sweep` request.
+struct SweepRequest {
+    source: String,
+    /// Exact backends only (`exact`/`enum`, `bdd`, or `auto` resolved by
+    /// the sweep engine); sampling engines cannot share work across points.
+    engine: Engine,
+    /// Fixed (non-swept) parameter bindings, sorted by name.
+    bindings: Vec<(String, Rat)>,
+    /// Swept parameters with their value lists, sorted by name. The grid is
+    /// their cartesian product, row-major in this order: the last-sorted
+    /// parameter varies fastest, and frame `index` follows this order.
+    sweep: Vec<(String, Vec<Rat>)>,
+    timeout_ms: Option<u64>,
+    threads: Option<usize>,
+    /// Whether to run the model-optimization pass pipeline (default true).
+    passes: bool,
+}
+
+impl SweepRequest {
+    fn decode(doc: &Json) -> Result<SweepRequest, ApiError> {
+        let f = Fields::open(doc, "sweep", SWEEP_FIELDS)?;
+        // `program` is accepted as an alias for `source` (a grid file pairs
+        // naturally with a program file); setting both is ambiguous.
+        if f.get("source").is_some() && f.get("program").is_some() {
+            return Err(bad(
+                "`program` conflicts with `source`; set exactly one",
+                "program",
+            ));
+        }
+        let source = match f.string("source")? {
+            Some(source) => source,
+            None => f
+                .string("program")?
+                .ok_or_else(|| bad("missing required string field `source`", "source"))?,
+        };
+        let engine = f.engine(true)?;
+        let bindings = f.bindings()?;
+
+        let grid = match f.get("sweep") {
+            None => return Err(bad("missing required object field `sweep`", "sweep")),
+            Some(Json::Obj(grid)) if grid.is_empty() => {
+                return Err(bad("`sweep` must name at least one parameter", "sweep"))
+            }
+            Some(Json::Obj(grid)) => grid,
+            Some(_) => {
+                return Err(bad(
+                    "`sweep` must be an object mapping parameter names to value arrays",
+                    "sweep",
+                ))
+            }
+        };
+        let mut sweep: Vec<(String, Vec<Rat>)> = Vec::new();
+        for (name, values) in grid {
+            let field = format!("sweep.{name}");
+            let Some(arr) = values.as_arr() else {
+                return Err(bad(format!("`{field}` must be an array of values"), field));
+            };
+            if arr.is_empty() {
+                return Err(bad(
+                    format!("`{field}` must contain at least one value"),
+                    field,
+                ));
+            }
+            if sweep.iter().any(|(n, _)| n == name) {
+                return Err(bad(
+                    format!("parameter `{name}` appears twice in `sweep`"),
+                    field,
+                ));
+            }
+            let Some(vals) = arr.iter().map(rat_from_json).collect() else {
+                return Err(bad(
+                    format!(
+                        "values in `{field}` must be integers or rational strings like \"1/2\""
+                    ),
+                    field,
+                ));
+            };
+            sweep.push((name.clone(), vals));
+        }
+        sweep.sort_by(|a, b| a.0.cmp(&b.0));
+        if let Some((name, _)) = sweep
+            .iter()
+            .find(|(name, _)| bindings.iter().any(|(b, _)| b == name))
+        {
+            return Err(bad(
+                format!("parameter `{name}` is set in both `bindings` and `sweep`"),
+                format!("sweep.{name}"),
+            ));
+        }
+        let total = sweep
+            .iter()
+            .fold(1usize, |acc, (_, v)| acc.saturating_mul(v.len()));
+        if total > MAX_SWEEP_POINTS {
+            return Err(bad(
+                format!("sweep grid has {total} points; the maximum is {MAX_SWEEP_POINTS}"),
+                "sweep",
+            ));
+        }
+
+        Ok(SweepRequest {
+            source,
+            engine,
+            bindings,
+            sweep,
+            timeout_ms: f.bounded("timeout_ms", 1, MAX_TIMEOUT_MS)?,
+            threads: f
+                .bounded("threads", 1, MAX_REQUEST_THREADS)?
+                .map(|v| v as usize),
+            // Defaults to *true*, matching `/v1/run` and the CLI.
+            passes: f.flag("passes", true)?,
+        })
+    }
+
+    /// The full grid: cartesian product of the per-parameter value lists,
+    /// row-major over the name-sorted parameter order.
+    fn points(&self) -> Vec<Vec<Rat>> {
+        let mut points: Vec<Vec<Rat>> = vec![Vec::new()];
+        for (_, values) in &self.sweep {
+            let mut next = Vec::with_capacity(points.len() * values.len());
+            for prefix in &points {
+                for v in values {
+                    let mut row = prefix.clone();
+                    row.push(v.clone());
+                    next.push(row);
+                }
+            }
+            points = next;
+        }
+        points
+    }
+
+    /// Cache key for one grid point's response body. Sweep bodies carry
+    /// extra fields (`point`, `route`) and omit `stats`, so they live under
+    /// sweep-specific keys rather than sharing `/v1/run` entries.
+    fn point_key(&self, canonical_program: &str, point: &[Rat]) -> u64 {
+        let mut h = DefaultHasher::new();
+        "/v1/sweep".hash(&mut h);
+        canonical_program.hash(&mut h);
+        self.engine.name().hash(&mut h);
+        self.passes.hash(&mut h);
+        for (name, value) in &self.bindings {
+            name.hash(&mut h);
+            value.to_string().hash(&mut h);
+        }
+        for ((name, _), value) in self.sweep.iter().zip(point) {
+            name.hash(&mut h);
+            value.to_string().hash(&mut h);
+        }
+        h.finish()
+    }
+}
+
+/// One distinct program of a request: parsed and canonicalized once,
+/// checked and compiled at most once, optimized at most once. The pass
+/// pipeline never folds parameters, so one optimized model serves every
+/// binding.
+struct Source {
+    program: Program,
+    /// Canonical pretty-printed program: the cache key's program part.
+    canonical: String,
+    compiled: OnceLock<Result<Model, ApiError>>,
+    optimized: OnceLock<Model>,
+}
+
+impl Source {
+    /// The compiled model, optimized when `passes` is set.
+    fn model(&self, passes: bool) -> Result<&Model, ApiError> {
+        let compiled = self
+            .compiled
+            .get_or_init(|| check_and_compile(&self.program))
+            .as_ref()
+            .map_err(Clone::clone)?;
+        Ok(if passes {
+            self.optimized.get_or_init(|| optimize(compiled))
         } else {
-            Err(ApiError {
-                status: 400,
-                kind: "bad_request",
-                message: format!("query index {idx} out of range ({len} queries declared)"),
-                field: None,
-            })
+            compiled
+        })
+    }
+
+    /// A copy of [`Source::model`] with `bindings` applied.
+    fn bound(&self, passes: bool, bindings: &[(String, Rat)]) -> Result<Model, ApiError> {
+        let mut model = self.model(passes)?.clone();
+        for (name, value) in bindings {
+            model
+                .bind_param(name, value.clone())
+                .map_err(|e| bad(e.to_string(), format!("bindings.{name}")))?;
+        }
+        Ok(model)
+    }
+}
+
+/// The distinct sources of one request, keyed by raw text.
+struct Sources {
+    /// Shared outcome per distinct raw text. A parse failure is kept too,
+    /// so every item with that source reports it without re-parsing.
+    by_text: HashMap<String, Arc<Result<Source, ApiError>>>,
+    /// Distinct canonical programs.
+    compiles: u64,
+    /// Distinct outcomes (canonical programs plus parse failures);
+    /// everything else was a reuse.
+    fresh: u64,
+}
+
+impl Sources {
+    /// Resolves each distinct text once. Sources that differ only in
+    /// formatting share one [`Source`] through the canonical form. With
+    /// `compile`, every source is checked and compiled up front (a batch's
+    /// sequential phase); otherwise on first use, so a cache hit never
+    /// compiles.
+    fn resolve<'a>(texts: impl IntoIterator<Item = &'a str>, compile: bool) -> Sources {
+        let mut by_text = HashMap::new();
+        let mut by_canonical = HashMap::new();
+        let mut parse_failures = 0;
+        for text in texts {
+            if by_text.contains_key(text) {
+                continue;
+            }
+            let resolved = match parse(text) {
+                Err(e) => {
+                    parse_failures += 1;
+                    Arc::new(Err(ApiError::new(422, "parse_error", e.to_string())))
+                }
+                Ok(program) => {
+                    let canonical = pretty_program(&program);
+                    let shared = by_canonical.entry(canonical.clone()).or_insert_with(|| {
+                        let source = Source {
+                            program,
+                            canonical,
+                            compiled: OnceLock::new(),
+                            optimized: OnceLock::new(),
+                        };
+                        if compile {
+                            let _ = source.model(false);
+                        }
+                        Arc::new(Ok(source))
+                    });
+                    Arc::clone(shared)
+                }
+            };
+            by_text.insert(text.to_string(), resolved);
+        }
+        let compiles = by_canonical.len() as u64;
+        Sources {
+            by_text,
+            compiles,
+            fresh: compiles + parse_failures,
         }
     }
 
-    /// The CLI's `load()` pipeline: compile, apply bindings, pick the
-    /// scheduler.
-    fn build_model(&self) -> Result<(Model, Box<dyn Scheduler>), ApiError> {
-        let program = parse(&self.source).expect("parsed once already");
-        let mut model = check_and_compile(&program)?;
-        apply_bindings(&mut model, &self.bindings)?;
-        let scheduler = scheduler_for(&model);
-        Ok((model, scheduler))
+    /// The source for `text`, which [`Sources::resolve`] saw. Fails with
+    /// its parse error, or with its check/compile error once that is known.
+    fn get(&self, text: &str) -> Result<&Source, ApiError> {
+        let source = self.by_text[text].as_ref().as_ref().map_err(Clone::clone)?;
+        match source.compiled.get() {
+            Some(Err(e)) => Err(e.clone()),
+            _ => Ok(source),
+        }
     }
 }
 
-/// Integrity-checks and compiles a parsed program with the same error
-/// shapes as the single-request path. Batch preparation calls this once
-/// per distinct canonical source.
+/// Integrity-checks and compiles a parsed program.
 fn check_and_compile(program: &Program) -> Result<Model, ApiError> {
-    check(program).map_err(|errors| ApiError {
-        status: 422,
-        kind: "check_error",
-        message: format!(
+    check(program).map_err(|errors| {
+        let details: Vec<String> = errors.iter().map(ToString::to_string).collect();
+        let message = format!(
             "{} integrity error(s): {}",
             errors.len(),
-            errors
-                .iter()
-                .map(|e| e.to_string())
-                .collect::<Vec<_>>()
-                .join("; ")
-        ),
-        field: None,
+            details.join("; ")
+        );
+        ApiError::new(422, "check_error", message)
     })?;
-    compile(program).map_err(|e| ApiError {
-        status: 422,
-        kind: "compile_error",
-        message: e.to_string(),
-        field: None,
-    })
-}
-
-/// Applies request parameter bindings to a model, again with single-request
-/// error shapes.
-fn apply_bindings(model: &mut Model, bindings: &[(String, Rat)]) -> Result<(), ApiError> {
-    for (name, value) in bindings {
-        model
-            .bind_param(name, value.clone())
-            .map_err(|e| ApiError {
-                status: 400,
-                kind: "bad_request",
-                message: e.to_string(),
-                field: None,
-            })?;
-    }
-    Ok(())
+    compile(program).map_err(|e| ApiError::new(422, "compile_error", e.to_string()))
 }
 
 #[cfg(test)]

@@ -267,3 +267,45 @@ fn batch_auto_items_plan_independently() {
     );
     handle.shutdown();
 }
+
+/// A `/v1/batch` item with `"engine": "auto"` plans exactly like the same
+/// `/v1/run`: against the optimized model, so the symmetry-reduced cost
+/// estimate routes both to the same engine. On the k=4 fat-tree the
+/// unoptimized estimate is an order of magnitude larger, which used to
+/// push a 20 s batch item onto SMC while the run stayed exact.
+#[test]
+fn batch_auto_items_plan_like_single_runs() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/bay/fattree_k4.bay"
+    );
+    let source = std::fs::read_to_string(path).expect("fat-tree example");
+    let run_server = start(common::test_config()).expect("start run server");
+    let batch_server = start(common::test_config()).expect("start batch server");
+
+    for timeout_ms in [5000, 20000, 60000] {
+        let item = format!(
+            r#""engine":"auto","bindings":{{"P_LOSS":"1/100003"}},"timeout_ms":{timeout_ms}"#
+        );
+        let source = Json::Str(source.clone());
+        let run = format!("{{\"source\":{source},{item}}}");
+        let (status, _, run_body) = http(run_server.addr(), "POST", "/v1/run", &run);
+        assert_eq!(status, 200, "timeout {timeout_ms}: {run_body}");
+
+        let batch = format!("{{\"items\":[{{\"source\":{source},{item}}}]}}");
+        let (status, payload) = post_batch(batch_server.addr(), &batch);
+        assert_eq!(status, 200, "timeout {timeout_ms}: {payload}");
+        let frames = parse_frames(&payload);
+        assert_eq!(frames.len(), 1, "timeout {timeout_ms}: {payload}");
+        assert_eq!(frames[0].status, 200, "timeout {timeout_ms}: {payload}");
+        assert_eq!(
+            frames[0].body,
+            run_body,
+            "timeout {timeout_ms}: batch item routed to {} but the run to {}",
+            engine_of(&frames[0].body),
+            engine_of(&run_body)
+        );
+    }
+    run_server.shutdown();
+    batch_server.shutdown();
+}

@@ -23,54 +23,104 @@ fn body_with(field: &str) -> String {
     format!("{{\"source\":{source},{field}}}")
 }
 
+/// Malformed knobs: (raw field, expected `error.field`, expected message
+/// fragment). Replayed against `/v1/run` and as `/v1/batch` items.
+#[rustfmt::skip]
+const KNOB_CASES: &[(&str, &str, &str)] = &[
+    ("\"threads\":0",            "threads", "`threads` must be between 1 and 64, got 0"),
+    ("\"threads\":65",           "threads", "`threads` must be between 1 and 64, got 65"),
+    ("\"threads\":1000000000",   "threads", "`threads` must be between 1 and 64"),
+    ("\"threads\":-1",           "threads", "`threads` must be a nonnegative integer"),
+    ("\"threads\":1.5",          "threads", "`threads` must be a nonnegative integer"),
+    ("\"threads\":\"four\"",     "threads", "`threads` must be a nonnegative integer"),
+    ("\"threads\":true",         "threads", "`threads` must be a nonnegative integer"),
+    ("\"threads\":[2]",          "threads", "`threads` must be a nonnegative integer"),
+    ("\"timeout_ms\":0",         "timeout_ms", "`timeout_ms` must be between 1 and 600000, got 0"),
+    ("\"timeout_ms\":600001",    "timeout_ms", "`timeout_ms` must be between 1 and 600000"),
+    ("\"timeout_ms\":-5",        "timeout_ms", "`timeout_ms` must be a nonnegative integer"),
+    ("\"timeout_ms\":0.25",      "timeout_ms", "`timeout_ms` must be a nonnegative integer"),
+    ("\"timeout_ms\":\"1s\"",    "timeout_ms", "`timeout_ms` must be a nonnegative integer"),
+    ("\"timeout_ms\":{}",        "timeout_ms", "`timeout_ms` must be a nonnegative integer"),
+    ("\"thread\":2",             "thread", "unknown request field `thread`"),
+    ("\"query\":-1",             "query", "`query` must be a nonnegative integer"),
+    ("\"query\":\"0\"",          "query", "`query` must be a nonnegative integer"),
+    ("\"engine\":\"smc\",\"query\":5", "query", "query index 5 out of range (1 queries declared)"),
+    ("\"bindings\":[1]",         "bindings", "`bindings` must be an object"),
+    ("\"bindings\":{\"P\":true}",  "bindings.P",
+     "binding `P` must be an integer or a rational string like \"1/2\""),
+    ("\"bindings\":{\"P\":\"1/0\"}", "bindings.P",
+     "binding `P` must be an integer or a rational string like \"1/2\""),
+    ("\"bindings\":{\"P\":1}",     "bindings.P", "unknown parameter `P`"),
+    ("\"passes\":1",             "passes", "`passes` must be a boolean"),
+    ("\"particles\":-3",         "particles", "`particles` must be a nonnegative integer"),
+    ("\"seed\":\"x\"",           "seed", "`seed` must be a nonnegative integer"),
+    ("\"maximize\":\"yes\"",     "maximize", "`maximize` must be a boolean"),
+    ("\"allow_zero_params\":0",  "allow_zero_params", "`allow_zero_params` must be a boolean"),
+];
+
+/// Asserts one `bad_request` error body names `field` and mentions
+/// `expected`.
+fn assert_knob_error(case: &str, body: &str, field: &str, expected: &str) {
+    let doc = parse_json(body).unwrap_or_else(|e| panic!("case {case}: bad json {e}: {body}"));
+    assert_eq!(
+        doc.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "case {case}: {body}"
+    );
+    let error = doc
+        .get("error")
+        .unwrap_or_else(|| panic!("case {case}: no error object: {body}"));
+    assert_eq!(
+        error.get("kind").and_then(Json::as_str),
+        Some("bad_request"),
+        "case {case}: {body}"
+    );
+    let message = error.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        message.contains(expected),
+        "case {case}: message {message:?} does not mention {expected:?}"
+    );
+    assert_eq!(
+        error.get("field").and_then(Json::as_str),
+        Some(field),
+        "case {case}: {body}"
+    );
+}
+
 #[test]
 fn malformed_knobs_are_structured_400s() {
-    #[rustfmt::skip]
-    let cases: &[(&str, &str)] = &[
-        // (raw field, expected message fragment)
-        ("\"threads\":0",            "`threads` must be between 1 and 64, got 0"),
-        ("\"threads\":65",           "`threads` must be between 1 and 64, got 65"),
-        ("\"threads\":1000000000",   "`threads` must be between 1 and 64"),
-        ("\"threads\":-1",           "`threads` must be a nonnegative integer"),
-        ("\"threads\":1.5",          "`threads` must be a nonnegative integer"),
-        ("\"threads\":\"four\"",     "`threads` must be a nonnegative integer"),
-        ("\"threads\":true",         "`threads` must be a nonnegative integer"),
-        ("\"threads\":[2]",          "`threads` must be a nonnegative integer"),
-        ("\"timeout_ms\":0",         "`timeout_ms` must be between 1 and 600000, got 0"),
-        ("\"timeout_ms\":600001",    "`timeout_ms` must be between 1 and 600000"),
-        ("\"timeout_ms\":-5",        "`timeout_ms` must be a nonnegative integer"),
-        ("\"timeout_ms\":0.25",      "`timeout_ms` must be a nonnegative integer"),
-        ("\"timeout_ms\":\"1s\"",    "`timeout_ms` must be a nonnegative integer"),
-        ("\"timeout_ms\":{}",        "`timeout_ms` must be a nonnegative integer"),
-        ("\"thread\":2",             "unknown request field `thread`"),
-    ];
-
     let handle = start(common::test_config()).expect("start server");
     let addr = handle.addr();
 
-    for (field, expected) in cases {
-        let (status, body) = http(addr, &body_with(field));
-        assert_eq!(status, 400, "case {field}: expected 400, got body {body}");
-        let doc =
-            parse_json(&body).unwrap_or_else(|e| panic!("case {field}: bad json {e}: {body}"));
-        assert_eq!(
-            doc.get("ok").and_then(Json::as_bool),
-            Some(false),
-            "case {field}: {body}"
-        );
-        let error = doc
-            .get("error")
-            .unwrap_or_else(|| panic!("case {field}: no error object: {body}"));
-        assert_eq!(
-            error.get("kind").and_then(Json::as_str),
-            Some("bad_request"),
-            "case {field}: {body}"
-        );
-        let message = error.get("message").and_then(Json::as_str).unwrap_or("");
-        assert!(
-            message.contains(expected),
-            "case {field}: message {message:?} does not mention {expected:?}"
-        );
+    for (case, field, expected) in KNOB_CASES {
+        let (status, body) = http(addr, &body_with(case));
+        assert_eq!(status, 400, "case {case}: expected 400, got body {body}");
+        assert_knob_error(case, &body, field, expected);
+    }
+
+    handle.shutdown();
+}
+
+/// The same malformed knobs as `/v1/batch` items: each is a per-item 400
+/// frame with the identical message and `error.field`, and the healthy
+/// sibling item still completes.
+#[test]
+fn malformed_batch_item_knobs_name_the_same_field() {
+    let handle = start(common::test_config()).expect("start server");
+    let addr = handle.addr();
+    let source = Json::Str(TINY.into()).to_string();
+
+    for (case, field, expected) in KNOB_CASES {
+        let batch = format!(r#"{{"source":{source},"items":[{{{case}}},{{}}]}}"#);
+        let (status, payload) = common::post_batch(addr, &batch);
+        assert_eq!(status, 200, "case {case}: {payload}");
+        let frames = common::parse_frames(&payload);
+        assert_eq!(frames.len(), 2, "case {case}: {payload}");
+        let bad = frames.iter().find(|f| f.index == 0).unwrap();
+        assert_eq!(bad.status, 400, "case {case}: {}", bad.body);
+        assert_knob_error(case, &bad.body, field, expected);
+        let good = frames.iter().find(|f| f.index == 1).unwrap();
+        assert_eq!(good.status, 200, "case {case}: {}", good.body);
     }
 
     handle.shutdown();
