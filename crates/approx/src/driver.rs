@@ -87,10 +87,10 @@ pub fn sample_step(
         }
         Action::Run(i) => {
             let mut driver = SampleDriver::new(rng);
-            let outcome = run_handler(model, i, &mut cfg.nodes[i], &mut driver)?;
+            let outcome = run_handler(model, i, cfg.node_mut(i), &mut driver)?;
             match outcome {
                 HandlerOutcome::Completed => {}
-                HandlerOutcome::AssertFailed => cfg.nodes[i].error = true,
+                HandlerOutcome::AssertFailed => cfg.node_mut(i).error = true,
                 HandlerOutcome::ObserveFailed => return Ok(StepOutcome::ObserveFailed),
             }
         }

@@ -167,9 +167,9 @@ pub fn simulate(
             }
             Action::Run(i) => {
                 let mut driver = SampleDriver::new(&mut rng);
-                let outcome = run_handler(model, i, &mut cfg.nodes[i], &mut driver)?;
+                let outcome = run_handler(model, i, cfg.node_mut(i), &mut driver)?;
                 if outcome == HandlerOutcome::AssertFailed {
-                    cfg.nodes[i].error = true;
+                    cfg.node_mut(i).error = true;
                 }
                 events.push(SimEvent::Ran {
                     step,

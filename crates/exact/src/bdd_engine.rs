@@ -57,39 +57,53 @@ use bayonet_symbolic::{FeasibilityCache, Guard};
 
 use bayonet_net::opt::SymmetryGroup;
 use bayonet_net::{
-    initial_config, run_handler, Action, GlobalConfig, HandlerOutcome, Model, NodeConfig, Packet,
-    Scheduler, SemanticsError, Val,
+    initial_config, run_handler, Action, Deadline, GlobalConfig, HandlerOutcome, Model, NodeConfig,
+    Packet, Scheduler, SemanticsError, Val,
 };
 
 use crate::engine::{Analysis, EngineStats, ExactError, ExactOptions};
 use crate::enumerate::enumerate_eval_cached;
 
 /// Dense interner for node-local configurations: block `b` of every diagram
-/// stores indices into this table.
+/// stores indices into this table. Configurations are held by `Arc`, so
+/// decoding an id into a [`GlobalConfig`] node shares it instead of copying.
 #[derive(Default)]
 struct Interner {
-    list: Vec<NodeConfig>,
+    list: Vec<Arc<NodeConfig>>,
     /// `(q_in nonempty, q_out nonempty)` per id — the action-enabling flags.
     flags: Vec<(bool, bool)>,
     errors: Vec<bool>,
-    map: HashMap<NodeConfig, u32>,
+    map: FastMap<Arc<NodeConfig>, u32>,
 }
 
 impl Interner {
+    /// The id of an owned configuration, interning it if new.
     fn id(&mut self, cfg: NodeConfig) -> u32 {
-        if let Some(&id) = self.map.get(&cfg) {
-            return id;
+        match self.map.get(&cfg) {
+            Some(&id) => id,
+            None => self.insert(Arc::new(cfg)),
         }
+    }
+
+    /// The id of a shared configuration, interning it (by reference) if new.
+    fn id_shared(&mut self, cfg: &Arc<NodeConfig>) -> u32 {
+        match self.map.get(&**cfg) {
+            Some(&id) => id,
+            None => self.insert(Arc::clone(cfg)),
+        }
+    }
+
+    fn insert(&mut self, cfg: Arc<NodeConfig>) -> u32 {
         let id = self.list.len() as u32;
         self.flags
             .push((!cfg.q_in.is_empty(), !cfg.q_out.is_empty()));
         self.errors.push(cfg.error);
-        self.list.push(cfg.clone());
+        self.list.push(Arc::clone(&cfg));
         self.map.insert(cfg, id);
         id
     }
 
-    fn get(&self, id: u32) -> &NodeConfig {
+    fn get(&self, id: u32) -> &Arc<NodeConfig> {
         &self.list[id as usize]
     }
 
@@ -164,6 +178,7 @@ struct Ctx<'a> {
     model: &'a Model,
     fm_pruning: bool,
     cache: Option<&'a FeasibilityCache>,
+    deadline: &'a Deadline,
     interner: Interner,
     run_memo: HashMap<(usize, u32), RunMemo>,
     fwd_memo: HashMap<(usize, u32), Rc<FwdInfo>>,
@@ -204,11 +219,17 @@ impl Ctx<'_> {
         }
         let model = self.model;
         let interner = &self.interner;
-        let raw = enumerate_eval_cached(guard, self.fm_pruning, self.cache, |driver| {
-            let mut node_cfg = interner.get(v).clone();
-            let outcome = run_handler(model, i, &mut node_cfg, driver)?;
-            Ok((node_cfg, outcome))
-        })?;
+        let raw = enumerate_eval_cached(
+            guard,
+            self.fm_pruning,
+            self.cache,
+            self.deadline,
+            |driver| {
+                let mut node_cfg = NodeConfig::clone(interner.get(v));
+                let outcome = run_handler(model, i, &mut node_cfg, driver)?;
+                Ok((node_cfg, outcome))
+            },
+        )?;
         let recs: Vec<RunBranch> = raw
             .into_iter()
             .map(|b| {
@@ -239,7 +260,7 @@ impl Ctx<'_> {
         if let Some(info) = self.fwd_memo.get(&(i, v)) {
             return Ok(Rc::clone(info));
         }
-        let mut nc = self.interner.get(v).clone();
+        let mut nc = NodeConfig::clone(self.interner.get(v));
         let (pkt, port) = nc.q_out.pop_front().expect("Fwd was enabled");
         let (dst, dst_port) = self
             .model
@@ -270,7 +291,7 @@ impl Ctx<'_> {
             return u2;
         }
         let (pkt, port) = self.ctx_list[ctx as usize].clone();
-        let mut nd = self.interner.get(u).clone();
+        let mut nd = NodeConfig::clone(self.interner.get(u));
         nd.q_in.push_back((pkt, port));
         let u2 = self.interner.id(nd);
         self.push_memo.insert((u, ctx), u2);
@@ -525,7 +546,10 @@ fn canon_route(
     let mut paths = Vec::new();
     store.enumerate(diagram, &mut paths);
     for (ids, mass) in paths {
-        let nodes: Vec<NodeConfig> = ids.iter().map(|&id| ctx.interner.get(id).clone()).collect();
+        let nodes = ids
+            .iter()
+            .map(|&id| Arc::clone(ctx.interner.get(id)))
+            .collect();
         let mut cfg = GlobalConfig { sched_state, nodes };
         if group.canonicalize(&mut cfg) {
             stats.orbit_merges += 1;
@@ -533,7 +557,7 @@ fn canon_route(
         let ids: Vec<u32> = cfg
             .nodes
             .iter()
-            .map(|n| ctx.interner.id(n.clone()))
+            .map(|n| ctx.interner.id_shared(n))
             .collect();
         let mut d = store.terminal(mass);
         for (block, &id) in ids.iter().enumerate().rev() {
@@ -613,6 +637,7 @@ pub(crate) fn analyze_bdd(
         model,
         fm_pruning: opts.fm_pruning,
         cache: Some(&*run_cache),
+        deadline: &opts.deadline,
         interner: Interner::default(),
         run_memo: HashMap::new(),
         fwd_memo: HashMap::new(),
@@ -626,10 +651,13 @@ pub(crate) fn analyze_bdd(
         vec![(Vec::with_capacity(k), Rat::one(), Guard::top())];
     for node in 0..k {
         let prog = &model.programs[node];
-        let node_branches =
-            enumerate_eval_cached(&Guard::top(), opts.fm_pruning, ctx.cache, |driver| {
-                bayonet_net::eval_state_init(model, prog, driver)
-            })?;
+        let node_branches = enumerate_eval_cached(
+            &Guard::top(),
+            opts.fm_pruning,
+            ctx.cache,
+            ctx.deadline,
+            |driver| bayonet_net::eval_state_init(model, prog, driver),
+        )?;
         let mut next = Vec::with_capacity(initial.len() * node_branches.len());
         for (states, mass, guard) in &initial {
             for b in &node_branches {
@@ -661,7 +689,7 @@ pub(crate) fn analyze_bdd(
         let ids: Vec<u32> = cfg
             .nodes
             .iter()
-            .map(|n| ctx.interner.id(n.clone()))
+            .map(|n| ctx.interner.id_shared(n))
             .collect();
         let mut diagram = store.terminal(mass);
         for (block, &id) in ids.iter().enumerate().rev() {
@@ -745,7 +773,8 @@ pub(crate) fn analyze_bdd(
                             &mut next,
                             &mut terminal_acc,
                             &mut discarded,
-                        )?;
+                        )
+                        .map_err(|e| e.at_progress(stats.steps - 1, stats.expansions))?;
                     }
                     Action::Fwd(i) => {
                         expand_fwd(
@@ -777,8 +806,10 @@ pub(crate) fn analyze_bdd(
         store.enumerate(diagram, &mut paths);
         for (ids, mass) in paths {
             debug_assert_eq!(ids.len(), k);
-            let nodes: Vec<NodeConfig> =
-                ids.iter().map(|&id| ctx.interner.get(id).clone()).collect();
+            let nodes = ids
+                .iter()
+                .map(|&id| Arc::clone(ctx.interner.get(id)))
+                .collect();
             terminals.push((guard.clone(), GlobalConfig { sched_state, nodes }, mass));
         }
     }

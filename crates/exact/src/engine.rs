@@ -29,12 +29,13 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use bayonet_bdd::FastMap;
 use bayonet_num::Rat;
 use bayonet_symbolic::{FeasibilityCache, Guard};
 
 use bayonet_net::{
     deliver, initial_config, run_handler, Action, Deadline, GlobalConfig, HandlerOutcome, Model,
-    Scheduler, SemanticsError, Val,
+    NodeConfig, Scheduler, SemanticsError, Val,
 };
 
 use crossbeam::deque::{Injector, Stealer, Worker};
@@ -238,6 +239,18 @@ impl fmt::Display for ExactError {
 
 impl std::error::Error for ExactError {}
 
+impl ExactError {
+    /// Stamps an interruption with how far the run got. Enumerations raise
+    /// [`ExactError::Interrupted`] with zero counters, since only the
+    /// engine driving them knows its progress; other errors pass through.
+    pub(crate) fn at_progress(self, steps: u64, expansions: u64) -> ExactError {
+        match self {
+            ExactError::Interrupted { .. } => ExactError::Interrupted { steps, expansions },
+            other => other,
+        }
+    }
+}
+
 impl From<SemanticsError> for ExactError {
     fn from(e: SemanticsError) -> Self {
         ExactError::Semantics(e)
@@ -276,8 +289,9 @@ impl Analysis {
     }
 }
 
-/// How many configuration expansions to run between deadline polls.
-const DEADLINE_POLL_STRIDE: usize = 256;
+/// How many configuration expansions (or, inside one enumeration, branch
+/// replays) to run between deadline polls.
+pub(crate) const DEADLINE_POLL_STRIDE: usize = 256;
 
 /// Target number of chunk tasks per parallel worker. More tasks than
 /// workers is what makes stealing effective under uneven chunk costs.
@@ -379,14 +393,15 @@ fn expand_config(
                     guard,
                     opts.fm_pruning,
                     opts.feasibility_cache.as_deref(),
+                    &opts.deadline,
                     |driver| {
-                        let mut node_cfg = cfg.nodes[i].clone();
+                        let mut node_cfg = NodeConfig::clone(&cfg.nodes[i]);
                         let outcome = run_handler(model, i, &mut node_cfg, driver)?;
                         Ok((node_cfg, outcome))
                     },
                 )?;
                 for b in branches {
-                    let (node_cfg, outcome) = b.result;
+                    let (mut node_cfg, outcome) = b.result;
                     let branch_mass = &step_mass * &b.weight;
                     match outcome {
                         HandlerOutcome::ObserveFailed => {
@@ -395,12 +410,13 @@ fn expand_config(
                             out.discarded.push((b.guard, branch_mass));
                         }
                         HandlerOutcome::Completed | HandlerOutcome::AssertFailed => {
+                            if outcome == HandlerOutcome::AssertFailed {
+                                node_cfg.error = true;
+                            }
+                            // Only node `i` changed; the clone shares the rest.
                             let mut c2 = cfg.clone();
                             c2.sched_state = sched_next;
-                            c2.nodes[i] = node_cfg;
-                            if outcome == HandlerOutcome::AssertFailed {
-                                c2.nodes[i].error = true;
-                            }
+                            c2.nodes[i] = Arc::new(node_cfg);
                             canon_config(sym, &mut c2, &mut out.orbit_merges);
                             if c2.is_terminal() {
                                 out.terminal.push((b.guard, c2, branch_mass));
@@ -420,8 +436,13 @@ fn expand_config(
 /// sorts by the canonical state key so the output order — and everything
 /// derived from it downstream — is independent of both hash-map iteration
 /// order and the parallel schedule that produced `items`.
+///
+/// The map uses the Fx hasher: it lives for one call and holds at most one
+/// frontier (bounded by [`ExactOptions::max_configs`]), so SipHash's
+/// collision resistance buys nothing for its cost per key.
 fn compress(items: Weighted, stats: &mut EngineStats) -> Weighted {
-    let mut map: HashMap<(Guard, GlobalConfig), Rat> = HashMap::with_capacity(items.len());
+    let mut map: FastMap<(Guard, GlobalConfig), Rat> =
+        FastMap::with_capacity_and_hasher(items.len(), Default::default());
     for (g, c, m) in items {
         match map.entry((g, c)) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
@@ -538,7 +559,11 @@ fn expand_frontier_parallel(
                                 expand_config(model, scheduler, sym, g, c, m, opts, &mut out)
                             {
                                 stop.store(true, Ordering::Relaxed);
-                                return Err((task.ordinal, e));
+                                let tag = match e {
+                                    ExactError::Interrupted { .. } => usize::MAX,
+                                    _ => task.ordinal,
+                                };
+                                return Err((tag, e));
                             }
                         }
                         done.push((task.ordinal, out));
@@ -618,6 +643,7 @@ impl EnumState {
                 &Guard::top(),
                 opts.fm_pruning,
                 opts.feasibility_cache.as_deref(),
+                &opts.deadline,
                 |driver| bayonet_net::eval_state_init(model, prog, driver),
             )?;
             let mut next = Vec::with_capacity(initial.len() * node_branches.len());
@@ -699,38 +725,33 @@ impl EnumState {
 
         let sym = symmetry_for(model, scheduler);
         stats.expansions += self.frontier.len() as u64;
-        let expansion = if workers > 1 && self.frontier.len() >= opts.par_threshold.max(2) {
-            match expand_frontier_parallel(model, scheduler, sym, &self.frontier, opts, workers) {
-                Ok((merged, steals)) => {
+        let expanded = if workers > 1 && self.frontier.len() >= opts.par_threshold.max(2) {
+            expand_frontier_parallel(model, scheduler, sym, &self.frontier, opts, workers)
+                .map(|(merged, steals)| {
                     stats.steals += steals;
                     if let Some(pool) = &opts.pool {
                         pool.add_steals(steals);
                     }
                     merged
-                }
-                Err((_, e)) => {
-                    return Err(match e {
-                        ExactError::Interrupted { .. } => ExactError::Interrupted {
-                            steps: stats.steps - 1,
-                            expansions: stats.expansions,
-                        },
-                        other => other,
-                    })
-                }
-            }
+                })
+                .map_err(|(_, e)| e)
         } else {
             let mut out = Expansion::default();
-            for (i, (g, c, m)) in self.frontier.iter().enumerate() {
-                if i > 0 && i % DEADLINE_POLL_STRIDE == 0 && opts.deadline.expired() {
-                    return Err(ExactError::Interrupted {
-                        steps: stats.steps - 1,
-                        expansions: stats.expansions,
-                    });
-                }
-                expand_config(model, scheduler, sym, g, c, m, opts, &mut out)?;
-            }
-            out
+            self.frontier
+                .iter()
+                .enumerate()
+                .try_for_each(|(i, (g, c, m))| {
+                    if i > 0 && i % DEADLINE_POLL_STRIDE == 0 && opts.deadline.expired() {
+                        return Err(ExactError::Interrupted {
+                            steps: 0,
+                            expansions: 0,
+                        });
+                    }
+                    expand_config(model, scheduler, sym, g, c, m, opts, &mut out)
+                })
+                .map(|()| out)
         };
+        let expansion = expanded.map_err(|e| e.at_progress(stats.steps - 1, stats.expansions))?;
         self.stats.orbit_merges += expansion.orbit_merges;
         self.frontier.clear();
         self.terminal_acc.extend(expansion.terminal);
@@ -857,4 +878,63 @@ pub fn analyze(
     analysis.stats.feasibility_hits = hits_after - hits_before;
     analysis.stats.feasibility_misses = misses_after - misses_before;
     Ok(analysis)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bayonet_net::scheduler_for;
+
+    #[test]
+    fn sharing_run_successor_replaces_only_the_run_node() {
+        let model = bayonet_net::compile(
+            &bayonet_lang::parse(
+                r#"
+                packet_fields { dst }
+                topology {
+                    nodes { A, B, C }
+                    links { (A, pt1) <-> (B, pt1), (B, pt2) <-> (C, pt1) }
+                }
+                programs { A -> idle, B -> coin, C -> idle }
+                init { packet -> (B, pt1); }
+                query probability(hits@B == 1);
+                def idle(pkt, pt) state seen(0) { drop; }
+                def coin(pkt, pt) state hits(0) {
+                    if flip(1/3) { hits = 1; fwd(2); } else { drop; }
+                }
+                "#,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let scheduler = scheduler_for(&model);
+        let parent = initial_config(&model, vec![vec![Val::int(0)]; 3]).unwrap();
+        assert_eq!(parent.enabled_actions(), vec![Action::Run(1)]);
+        let mut out = Expansion::default();
+        let opts = ExactOptions::default();
+        expand_config(
+            &model,
+            &*scheduler,
+            None,
+            &Guard::top(),
+            &parent,
+            &Rat::one(),
+            &opts,
+            &mut out,
+        )
+        .unwrap();
+        let successors: Vec<&GlobalConfig> = out
+            .next
+            .iter()
+            .chain(&out.terminal)
+            .map(|(_, c, _)| c)
+            .collect();
+        assert_eq!(successors.len(), 2, "one successor per coin outcome");
+        for child in successors {
+            let shared: Vec<bool> = (0..3)
+                .map(|i| Arc::ptr_eq(&parent.nodes[i], &child.nodes[i]))
+                .collect();
+            assert_eq!(shared, vec![true, false, true]);
+        }
+    }
 }

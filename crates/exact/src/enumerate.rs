@@ -11,7 +11,9 @@
 use bayonet_num::{Rat, Sign};
 use bayonet_symbolic::{feasibility, FeasibilityCache, Guard, LinExpr};
 
-use bayonet_net::{ChoiceDriver, SemanticsError};
+use bayonet_net::{ChoiceDriver, Deadline, SemanticsError};
+
+use crate::engine::{ExactError, DEADLINE_POLL_STRIDE};
 
 /// One recorded choice outcome.
 #[derive(Clone, Debug)]
@@ -212,25 +214,45 @@ pub fn enumerate_eval<T>(
     fm_pruning: bool,
     f: impl FnMut(&mut ReplayDriver) -> Result<T, SemanticsError>,
 ) -> Result<Vec<Branch<T>>, SemanticsError> {
-    enumerate_eval_cached(base_guard, fm_pruning, None, f)
+    enumerate_eval_cached(base_guard, fm_pruning, None, &Deadline::unlimited(), f).map_err(|e| {
+        match e {
+            ExactError::Semantics(e) => e,
+            other => unreachable!("an unlimited enumeration cannot fail with {other}"),
+        }
+    })
 }
 
 /// [`enumerate_eval`] with the Fourier–Motzkin pruning checks routed
-/// through a shared [`FeasibilityCache`].
+/// through a shared [`FeasibilityCache`], polling `deadline` every few
+/// hundred replays.
 ///
 /// The exact engine replays sibling branches from the root, so the same
 /// guard prefixes are re-checked many times per enumeration; memoizing the
 /// verdicts turns those repeats into hash lookups. Pass `None` to check
 /// feasibility directly (identical behavior, no memoization).
+///
+/// # Errors
+///
+/// [`ExactError::Semantics`] for the first error any branch raises, and
+/// [`ExactError::Interrupted`] (with zero counters, which the engine fills
+/// in) once `deadline` expires — one handler can draw millions of
+/// branches, so the engine's per-expansion polls alone cannot bound it.
 pub fn enumerate_eval_cached<T>(
     base_guard: &Guard,
     fm_pruning: bool,
     cache: Option<&FeasibilityCache>,
+    deadline: &Deadline,
     mut f: impl FnMut(&mut ReplayDriver) -> Result<T, SemanticsError>,
-) -> Result<Vec<Branch<T>>, SemanticsError> {
+) -> Result<Vec<Branch<T>>, ExactError> {
     let mut out = Vec::new();
     let mut stack = vec![Vec::new()];
     while let Some(script) = stack.pop() {
+        if !out.is_empty() && out.len() % DEADLINE_POLL_STRIDE == 0 && deadline.expired() {
+            return Err(ExactError::Interrupted {
+                steps: 0,
+                expansions: 0,
+            });
+        }
         let mut driver = ReplayDriver::new(script, base_guard.clone(), fm_pruning, cache);
         let result = f(&mut driver)?;
         stack.append(&mut driver.pending);
@@ -353,7 +375,7 @@ mod tests {
         let y = LinExpr::param(t.intern("y"));
         let z = LinExpr::param(t.intern("z"));
         let run = |cache: Option<&FeasibilityCache>| {
-            enumerate_eval_cached(&Guard::top(), true, cache, |d| {
+            enumerate_eval_cached(&Guard::top(), true, cache, &Deadline::unlimited(), |d| {
                 let a = d.decide_sign(&x.sub(&y))?;
                 let b = d.decide_sign(&y.sub(&z))?;
                 let c = d.decide_sign(&x.sub(&z))?;

@@ -21,10 +21,11 @@
 //! * **BDD** (knowledge compilation) wins when nodes share a program: the
 //!   diagram represents the symmetric product once. The calibrated speedup
 //!   over enumeration is approximately the size of the largest group of
-//!   nodes sharing one [`CompiledProgram`], paid for with a constant
-//!   compilation overhead — so tiny programs route to enumeration even when
-//!   symmetric. The backend packs per-node flags into a `u128`, so models
-//!   with more than 64 nodes are never routed to it.
+//!   nodes sharing one [`CompiledProgram`](bayonet_net::CompiledProgram),
+//!   paid for with a constant compilation overhead — so tiny programs route
+//!   to enumeration even when symmetric. The backend packs per-node flags
+//!   into a `u128`, so models with more than 64 nodes are never routed to
+//!   it.
 //! * **SMC** cost is linear: `particles × horizon × nodes` simulation steps.
 //!   Rather than the paper's fixed 1000 particles, the planner picks an
 //!   error-bounded count from the worst-case Bernoulli variance:

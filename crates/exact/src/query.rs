@@ -11,7 +11,7 @@ use std::fmt;
 use bayonet_num::Rat;
 use bayonet_symbolic::{atom_exprs, enumerate_cells_cached, Assignment, FeasibilityCache, Guard};
 
-use bayonet_net::{eval_query_expr, truth_of, CompiledQuery, Model, QueryKind, Val};
+use bayonet_net::{eval_query_expr, truth_of, CompiledQuery, Deadline, Model, QueryKind, Val};
 
 use crate::engine::{Analysis, ExactError};
 use crate::enumerate::enumerate_eval_cached;
@@ -208,7 +208,10 @@ pub fn answer_cached(
     let mut contributions: Vec<(Guard, Rat, Contribution)> = Vec::new();
     for (cfg, guard, mass) in &analysis.terminals {
         let states = |node: usize, slot: usize| cfg.nodes[node].state[slot].clone();
-        let branches = enumerate_eval_cached(guard, fm_pruning, cache, |driver| {
+        // Query evaluation draws no randomness: only sign splits branch it,
+        // so it needs no deadline.
+        let unlimited = Deadline::unlimited();
+        let branches = enumerate_eval_cached(guard, fm_pruning, cache, &unlimited, |driver| {
             Ok(match query.kind {
                 QueryKind::Probability => {
                     let v = eval_query_expr(model, &query.expr, &states, driver)?;

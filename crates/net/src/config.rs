@@ -1,6 +1,7 @@
 //! Local and global network configurations (paper §3.1–3.2).
 
 use std::fmt;
+use std::sync::Arc;
 
 use bayonet_symbolic::ParamTable;
 
@@ -45,13 +46,21 @@ impl NodeConfig {
 /// engine sorts merged frontiers and terminals by it so that exploration
 /// order (and therefore every downstream result) is independent of the
 /// parallel schedule that produced them.
+///
+/// Node configurations are shared copy-on-write: cloning a configuration
+/// bumps one reference count per node, and [`GlobalConfig::node_mut`]
+/// copies a node only if another configuration still shares it. A
+/// successor therefore pays only for the nodes its action changes. `Arc`
+/// delegates `Eq`, `Ord` and `Hash` to the node itself, so sharing never
+/// changes the derived order, equality or hash.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct GlobalConfig {
     /// Scheduler state (0 for the stateless built-in schedulers; the rotor
     /// scheduler keeps its cursor here).
     pub sched_state: u32,
-    /// Per-node configurations.
-    pub nodes: Vec<NodeConfig>,
+    /// Per-node configurations, shared between configurations until
+    /// written through [`GlobalConfig::node_mut`].
+    pub nodes: Vec<Arc<NodeConfig>>,
 }
 
 /// A schedulable action (paper §3.2): run a node's program, or forward the
@@ -83,6 +92,20 @@ impl fmt::Display for Action {
 }
 
 impl GlobalConfig {
+    /// A configuration owning freshly allocated node configurations.
+    pub fn new(sched_state: u32, nodes: Vec<NodeConfig>) -> GlobalConfig {
+        GlobalConfig {
+            sched_state,
+            nodes: nodes.into_iter().map(Arc::new).collect(),
+        }
+    }
+
+    /// Mutable access to node `i`'s configuration, copying it first if
+    /// another configuration shares it.
+    pub fn node_mut(&mut self, i: usize) -> &mut NodeConfig {
+        Arc::make_mut(&mut self.nodes[i])
+    }
+
     /// Returns `true` if some node is in the error state ⊥.
     pub fn has_error(&self) -> bool {
         self.nodes.iter().any(|n| n.error)
@@ -156,10 +179,7 @@ mod tests {
     use crate::queue::Packet;
 
     fn two_nodes() -> GlobalConfig {
-        GlobalConfig {
-            sched_state: 0,
-            nodes: vec![NodeConfig::empty(2), NodeConfig::empty(2)],
-        }
+        GlobalConfig::new(0, vec![NodeConfig::empty(2), NodeConfig::empty(2)])
     }
 
     #[test]
@@ -173,9 +193,9 @@ mod tests {
     #[test]
     fn enabled_actions_canonical_order() {
         let mut cfg = two_nodes();
-        cfg.nodes[1].q_in.push_back((Packet::fresh(0), 1));
-        cfg.nodes[0].q_out.push_back((Packet::fresh(0), 1));
-        cfg.nodes[1].q_out.push_back((Packet::fresh(0), 1));
+        cfg.node_mut(1).q_in.push_back((Packet::fresh(0), 1));
+        cfg.node_mut(0).q_out.push_back((Packet::fresh(0), 1));
+        cfg.node_mut(1).q_out.push_back((Packet::fresh(0), 1));
         assert_eq!(
             cfg.enabled_actions(),
             vec![Action::Run(1), Action::Fwd(0), Action::Fwd(1)]
@@ -186,9 +206,9 @@ mod tests {
     #[test]
     fn error_makes_terminal() {
         let mut cfg = two_nodes();
-        cfg.nodes[0].q_in.push_back((Packet::fresh(0), 1));
+        cfg.node_mut(0).q_in.push_back((Packet::fresh(0), 1));
         assert!(!cfg.is_terminal());
-        cfg.nodes[1].error = true;
+        cfg.node_mut(1).error = true;
         assert!(cfg.is_terminal());
         assert!(cfg.has_error());
     }
@@ -196,9 +216,9 @@ mod tests {
     #[test]
     fn total_packets_counts_both_queues() {
         let mut cfg = two_nodes();
-        cfg.nodes[0].q_in.push_back((Packet::fresh(0), 1));
-        cfg.nodes[0].q_out.push_back((Packet::fresh(0), 1));
-        cfg.nodes[1].q_in.push_back((Packet::fresh(0), 1));
+        cfg.node_mut(0).q_in.push_back((Packet::fresh(0), 1));
+        cfg.node_mut(0).q_out.push_back((Packet::fresh(0), 1));
+        cfg.node_mut(1).q_in.push_back((Packet::fresh(0), 1));
         assert_eq!(cfg.total_packets(), 3);
     }
 }

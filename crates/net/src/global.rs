@@ -15,19 +15,24 @@ use crate::value::Val;
 /// interface linked to `(i, pt)`. Returns `false` if the destination queue
 /// was full and the packet was dropped (congestion).
 ///
+/// Only the source and destination node configurations are written (and
+/// copied, if shared); every other node stays shared with the caller's
+/// clones.
+///
 /// # Errors
 ///
 /// Fails if the output queue is empty (the action was not enabled) or the
 /// departure port has no link.
 pub fn deliver(model: &Model, cfg: &mut GlobalConfig, node: usize) -> Result<bool, SemanticsError> {
-    let (pkt, port) = cfg.nodes[node]
+    let (pkt, port) = cfg
+        .node_mut(node)
         .q_out
         .pop_front()
         .ok_or(SemanticsError::EmptyQueue { node })?;
     let (dst, dst_port) = model
         .link_dest(node, port)
         .ok_or(SemanticsError::NoLinkOnPort { node, port })?;
-    Ok(cfg.nodes[dst].q_in.push_back((pkt, dst_port)))
+    Ok(cfg.node_mut(dst).q_in.push_back((pkt, dst_port)))
 }
 
 /// Builds the initial global configuration from per-node state values
@@ -55,10 +60,7 @@ pub fn initial_config(
         let pkt = build_init_packet(model, &spec.fields)?;
         nodes[spec.node].q_in.push_back((pkt, spec.port));
     }
-    Ok(GlobalConfig {
-        sched_state: 0,
-        nodes,
-    })
+    Ok(GlobalConfig::new(0, nodes))
 }
 
 #[cfg(test)]
@@ -100,8 +102,8 @@ mod tests {
         let m = model();
         let mut cfg = initial_config(&m, vec![vec![], vec![]]).unwrap();
         // Manually move A's packet to its output queue on port 1.
-        let entry = cfg.nodes[0].q_in.pop_front().unwrap();
-        cfg.nodes[0].q_out.push_back(entry);
+        let entry = cfg.node_mut(0).q_in.pop_front().unwrap();
+        cfg.node_mut(0).q_out.push_back(entry);
         assert!(deliver(&m, &mut cfg, 0).unwrap());
         assert!(cfg.nodes[0].q_out.is_empty());
         // Arrived at B with B's port of the link (pt2).
@@ -114,21 +116,56 @@ mod tests {
         let m = model(); // capacity 1
         let mut cfg = initial_config(&m, vec![vec![], vec![]]).unwrap();
         // Fill B's input queue.
-        cfg.nodes[1]
+        cfg.node_mut(1)
             .q_in
             .push_back((crate::queue::Packet::fresh(1), 2));
-        let entry = cfg.nodes[0].q_in.pop_front().unwrap();
-        cfg.nodes[0].q_out.push_back(entry);
+        let entry = cfg.node_mut(0).q_in.pop_front().unwrap();
+        cfg.node_mut(0).q_out.push_back(entry);
         // Delivery happens but the packet is dropped: congestion.
         assert!(!deliver(&m, &mut cfg, 0).unwrap());
         assert_eq!(cfg.nodes[1].q_in.len(), 1);
     }
 
     #[test]
+    fn sharing_deliver_copies_only_source_and_destination() {
+        use std::sync::Arc;
+        let m = crate::compile::compile(
+            &parse(
+                r#"
+                packet_fields { dst }
+                topology {
+                    nodes { A, B, C, D }
+                    links { (A, pt1) <-> (B, pt1), (C, pt1) <-> (D, pt1) }
+                }
+                programs { A -> p, B -> p, C -> p, D -> p }
+                init { packet -> (A, pt1); packet -> (C, pt1); }
+                query probability(1 == 1);
+                def p(pkt, pt) { drop; }
+                "#,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let mut parent = initial_config(&m, vec![vec![]; 4]).unwrap();
+        let entry = parent.node_mut(0).q_in.pop_front().unwrap();
+        parent.node_mut(0).q_out.push_back(entry);
+        let mut child = parent.clone();
+        assert!(deliver(&m, &mut child, 0).unwrap());
+        let shared: Vec<bool> = (0..4)
+            .map(|i| Arc::ptr_eq(&parent.nodes[i], &child.nodes[i]))
+            .collect();
+        // A (source) and B (destination) were copied; C and D are shared.
+        assert_eq!(shared, vec![false, false, true, true]);
+        // The parent is untouched by the child's writes.
+        assert_eq!(parent.nodes[0].q_out.len(), 1);
+        assert!(parent.nodes[1].q_in.is_empty());
+    }
+
+    #[test]
     fn deliver_without_link_errors() {
         let m = model();
         let mut cfg = initial_config(&m, vec![vec![], vec![]]).unwrap();
-        cfg.nodes[0]
+        cfg.node_mut(0)
             .q_out
             .push_back((crate::queue::Packet::fresh(1), 9));
         assert!(matches!(

@@ -40,6 +40,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::compile::{CExpr, CStmt, CompiledProgram, Model, QExpr, SchedKind};
 use crate::config::{GlobalConfig, NodeConfig};
@@ -75,7 +76,7 @@ impl GroupElem {
 }
 
 /// The automorphism group of a model's topology (always excludes models
-/// where it would be trivial — [`find_symmetry`] returns `None` there).
+/// where it would be trivial — `find_symmetry` returns `None` there).
 #[derive(Debug, Clone)]
 pub struct SymmetryGroup {
     elems: Vec<GroupElem>,
@@ -198,7 +199,7 @@ fn cmp_remapped_queue(q: &PktQueue, e: &GroupElem, node: usize, other: &PktQueue
 /// to position `π(i)` with its queue entry ports relabeled through `σ_i`.
 /// Scheduler state is untouched (the uniform scheduler is stateless).
 fn apply(e: &GroupElem, cfg: &GlobalConfig) -> GlobalConfig {
-    let mut nodes: Vec<Option<NodeConfig>> = vec![None; cfg.nodes.len()];
+    let mut nodes: Vec<Option<Arc<NodeConfig>>> = vec![None; cfg.nodes.len()];
     for (i, nc) in cfg.nodes.iter().enumerate() {
         nodes[e.node_perm[i]] = Some(remap_node(nc, e, i));
     }
@@ -211,9 +212,12 @@ fn apply(e: &GroupElem, cfg: &GlobalConfig) -> GlobalConfig {
     }
 }
 
-fn remap_node(nc: &NodeConfig, e: &GroupElem, node: usize) -> NodeConfig {
-    if e.port_maps[node].is_empty() {
-        return nc.clone();
+/// Relabels node `node`'s queue ports through `σ_node`. A node whose
+/// relabeling is the identity, or whose queues are empty, is unchanged and
+/// moves by sharing its `Arc`.
+fn remap_node(nc: &Arc<NodeConfig>, e: &GroupElem, node: usize) -> Arc<NodeConfig> {
+    if e.port_maps[node].is_empty() || (nc.q_in.is_empty() && nc.q_out.is_empty()) {
+        return Arc::clone(nc);
     }
     let mut q_in = PktQueue::new(nc.q_in.capacity());
     for (pkt, port) in nc.q_in.iter() {
@@ -223,12 +227,12 @@ fn remap_node(nc: &NodeConfig, e: &GroupElem, node: usize) -> NodeConfig {
     for (pkt, port) in nc.q_out.iter() {
         q_out.push_back((pkt.clone(), e.map_port(node, *port)));
     }
-    NodeConfig {
+    Arc::new(NodeConfig {
         state: nc.state.clone(),
         q_in,
         q_out,
         error: nc.error,
-    }
+    })
 }
 
 /// Port constraints a program imposes on the relabelings of nodes running

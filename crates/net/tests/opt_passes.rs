@@ -257,9 +257,9 @@ fn canonicalize_maps_an_orbit_to_one_representative() {
     // "S2 infected" and "S3 infected" lie in one orbit (the peers are
     // interchangeable): both must canonicalize to the same representative.
     let mut s2_hot = initial_config(&optimized, zeros.clone()).unwrap();
-    s2_hot.nodes[2].state[0] = Val::one();
+    s2_hot.node_mut(2).state[0] = Val::one();
     let mut s3_hot = initial_config(&optimized, zeros).unwrap();
-    s3_hot.nodes[3].state[0] = Val::one();
+    s3_hot.node_mut(3).state[0] = Val::one();
     assert_ne!(s2_hot, s3_hot);
     group.canonicalize(&mut s2_hot);
     group.canonicalize(&mut s3_hot);

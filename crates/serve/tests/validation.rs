@@ -448,3 +448,41 @@ fn invalid_items_fail_individually_without_aborting_siblings() {
 
     handle.shutdown();
 }
+
+/// `timeout_ms` must hold even when the time goes into one handler's
+/// branch enumeration: a single `(Run, B)` expansion here replays three
+/// million draws, so a deadline polled only between expansions would let
+/// the request run to completion (tens of seconds) and answer 200.
+#[test]
+fn deadline_holds_inside_one_handler_enumeration() {
+    const WIDE_DRAW: &str = r#"
+        packet_fields { dst }
+        topology { nodes { A, B } links { (A, pt1) <-> (B, pt1) } }
+        programs { A -> send, B -> recv }
+        init { packet -> (A, pt1); }
+        query expectation(got@B);
+        def send(pkt, pt) { fwd(1); }
+        def recv(pkt, pt) state got(0) { got = uniformInt(0, 3000000); drop; }
+    "#;
+    let handle = start(common::test_config()).expect("start server");
+    let body = Json::obj(vec![
+        ("source", Json::Str(WIDE_DRAW.into())),
+        ("timeout_ms", Json::Num(1000.0)),
+    ])
+    .to_string();
+    let started = std::time::Instant::now();
+    let (status, payload) = http(handle.addr(), &body);
+    let elapsed = started.elapsed();
+    assert_eq!(status, 504, "{payload}");
+    let doc = parse_json(&payload).expect("json body");
+    let kind = doc
+        .get("error")
+        .and_then(|e| e.get("kind"))
+        .and_then(Json::as_str);
+    assert_eq!(kind, Some("timeout"), "{payload}");
+    assert!(
+        elapsed < std::time::Duration::from_secs(3),
+        "answered after {elapsed:?}"
+    );
+    handle.shutdown();
+}

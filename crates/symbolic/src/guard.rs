@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use bayonet_num::Sign;
 
@@ -16,6 +17,11 @@ use crate::param::ParamTable;
 
 /// A conjunction of sign atoms `sign(expr) = s` over canonicalized linear
 /// expressions. The empty guard is `true`.
+///
+/// The atom map is shared copy-on-write: cloning a guard bumps a reference
+/// count, and [`Guard::assume_sign`] and [`Guard::conjoin`] copy the map
+/// only when they actually add an atom. `Arc` delegates `Eq`, `Ord` and
+/// `Hash` to the map, so sharing never changes how guards compare or hash.
 ///
 /// # Examples
 ///
@@ -34,7 +40,7 @@ use crate::param::ParamTable;
 /// ```
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Guard {
-    atoms: BTreeMap<LinExpr, Sign>,
+    atoms: Arc<BTreeMap<LinExpr, Sign>>,
 }
 
 impl Guard {
@@ -94,7 +100,7 @@ impl Guard {
             Some(_) => None,
             None => {
                 let mut out = self.clone();
-                out.atoms.insert(canon, sign);
+                Arc::make_mut(&mut out.atoms).insert(canon, sign);
                 Some(out)
             }
         }
@@ -111,12 +117,12 @@ impl Guard {
     /// Conjunction of two guards; `None` on syntactic contradiction.
     pub fn conjoin(&self, other: &Guard) -> Option<Guard> {
         let mut out = self.clone();
-        for (e, &s) in &other.atoms {
+        for (e, &s) in other.atoms.iter() {
             match out.atoms.get(e) {
                 Some(&existing) if existing != s => return None,
                 Some(_) => {}
                 None => {
-                    out.atoms.insert(e.clone(), s);
+                    Arc::make_mut(&mut out.atoms).insert(e.clone(), s);
                 }
             }
         }
@@ -221,6 +227,29 @@ mod tests {
         assert!(!both.implied_by(&gx));
         let gx_neg = Guard::top().assume_sign(&x, Sign::Minus).unwrap();
         assert_eq!(gx.conjoin(&gx_neg), None);
+    }
+
+    #[test]
+    fn sharing_redundant_assumptions_keep_the_parent_atoms() {
+        let (_, x, y) = xy();
+        let g = Guard::top().assume_sign(&x.sub(&y), Sign::Plus).unwrap();
+        // Already implied (also through scaling and flipping): shared.
+        for (e, s) in [
+            (x.sub(&y), Sign::Plus),
+            (y.sub(&x).scale(&Rat::int(2)), Sign::Minus),
+        ] {
+            let same = g.assume_sign(&e, s).unwrap();
+            assert!(Arc::ptr_eq(&g.atoms, &same.atoms));
+        }
+        assert!(Arc::ptr_eq(
+            &g.atoms,
+            &g.conjoin(&Guard::top()).unwrap().atoms
+        ));
+        assert!(Arc::ptr_eq(&g.atoms, &g.conjoin(&g.clone()).unwrap().atoms));
+        // A new atom copies the map once and leaves the parent as it was.
+        let wider = g.assume_sign(&x, Sign::Zero).unwrap();
+        assert!(!Arc::ptr_eq(&g.atoms, &wider.atoms));
+        assert_eq!((g.len(), wider.len()), (1, 2));
     }
 
     #[test]
