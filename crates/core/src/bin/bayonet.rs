@@ -1,6 +1,10 @@
 //! The `bayonet` command-line tool: check, run, synthesize, and compile
 //! Bayonet network programs.
 //!
+//! `check`, `synthesize` and `run` (bar its `psi` and `simulate` engines)
+//! are in-process clients of `bayonet serve`: they send the matching
+//! `/v1/*` request to a [`Service`] and print its `text` or NDJSON frames.
+//!
 //! ```text
 //! bayonet check <file.bay>
 //! bayonet run <file.bay> [--engine auto|exact|enum|bdd|smc|rejection|psi]
@@ -10,7 +14,7 @@
 //!                        [--no-opt] [--explain-passes]
 //! bayonet run <batch.json> --batch [--threads N]
 //! bayonet run <file.bay> --sweep <grid.json> [--engine auto|exact|enum|bdd]
-//!                        [--bind NAME=VALUE]... [--threads N]
+//!                        [--bind NAME=VALUE]... [--scheduler S] [--threads N]
 //! bayonet synthesize <file.bay> [--query N] [--maximize]
 //! bayonet codegen <file.bay> [--target psi|webppl]
 //! bayonet pretty <file.bay>
@@ -22,11 +26,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bayonet::{
-    plan_model, synthesize_with, ApproxOptions, DeterministicScheduler, EngineKind, ExactOptions,
-    Network, Objective, PlanEngine, PlannerConfig, Rat, RotorScheduler, SynthesisOptions,
-    UniformScheduler,
-};
+use bayonet::{plan_model, ApproxOptions, Model, Network, PlannerConfig, Rat};
+use bayonet_lang::SchedulerSpec;
+use bayonet_serve::{parse_json, Json, Request, Service};
 
 fn main() -> ExitCode {
     // When spawned as a `serve --replicas N` shard this process is a
@@ -84,6 +86,8 @@ const SYNTHESIZE_FLAGS: &[(&str, bool)] = &[
     ("--scheduler", true),
     ("--bind", true),
 ];
+/// The `run` engines `/v1/run` answers; `psi` and `simulate` run locally.
+const SERVED_ENGINES: &[&str] = &["exact", "enum", "bdd", "auto", "smc", "rejection"];
 const CODEGEN_FLAGS: &[(&str, bool)] = &[("--target", true)];
 const NO_FLAGS: &[(&str, bool)] = &[];
 const SERVE_FLAGS: &[(&str, bool)] = &[
@@ -110,20 +114,11 @@ fn run(args: &[String]) -> Result<(), String> {
     match cmd {
         "check" => {
             validate_flags(rest, NO_FLAGS)?;
-            check(&source)
+            call("/v1/check", body(&source, &[], Vec::new()), 1).map(drop)
         }
         "run" => {
             validate_flags(rest, RUN_FLAGS)?;
-            if let Some(grid_file) = flag_value(rest, "--sweep") {
-                if has_flag(rest, "--batch") {
-                    return Err("--batch cannot be combined with --sweep".into());
-                }
-                run_sweep_cmd(&source, grid_file, rest)
-            } else if has_flag(rest, "--batch") {
-                run_batch_cmd(&source, rest)
-            } else {
-                run_queries(&source, rest)
-            }
+            run_cmd(&source, rest)
         }
         "synthesize" => {
             validate_flags(rest, SYNTHESIZE_FLAGS)?;
@@ -131,7 +126,13 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "codegen" => {
             validate_flags(rest, CODEGEN_FLAGS)?;
-            codegen(&source, rest)
+            let network = network(&program_source(&source, rest)?, &[])?;
+            match flag_value(rest, "--target").unwrap_or("psi") {
+                "psi" => print!("{}", network.to_psi()),
+                "webppl" => print!("{}", network.to_webppl()),
+                other => return Err(format!("unknown codegen target `{other}`")),
+            }
+            Ok(())
         }
         "pretty" => {
             validate_flags(rest, NO_FLAGS)?;
@@ -176,419 +177,337 @@ fn has_flag(rest: &[String], name: &str) -> bool {
     rest.iter().any(|a| a == name)
 }
 
-fn load(source: &str, rest: &[String]) -> Result<Network, String> {
-    let mut network = Network::from_source(source).map_err(|e| e.to_string())?;
-    for w in network.warnings() {
-        eprintln!("warning: {}", w.message);
+/// The value of the numeric flag `name`, if given. Requests carry numbers
+/// as JSON doubles, so a value above 2^53 is refused rather than rounded.
+fn number(rest: &[String], name: &str) -> Result<Option<u64>, String> {
+    flag_value(rest, name)
+        .map(|value| match value.parse::<u64>() {
+            Ok(n) if n <= 1 << 53 => Ok(n),
+            Ok(_) => Err(format!("bad {name} value: must be at most 2^53")),
+            Err(e) => Err(format!("bad {name} value: {e}")),
+        })
+        .transpose()
+}
+
+/// `--threads N`, if given; at least 1.
+fn threads(rest: &[String]) -> Result<Option<usize>, String> {
+    match number(rest, "--threads")? {
+        Some(0) => Err("bad --threads value: must be at least 1".to_string()),
+        n => Ok(n.map(|n| n as usize)),
     }
-    // --bind NAME=VALUE (repeatable)
-    let mut i = 0;
-    while i < rest.len() {
-        if rest[i] == "--bind" {
-            let spec = rest
-                .get(i + 1)
-                .ok_or_else(|| "--bind needs NAME=VALUE".to_string())?;
-            let (name, value) = spec
-                .split_once('=')
-                .ok_or_else(|| format!("malformed --bind `{spec}` (want NAME=VALUE)"))?;
-            let value: Rat = value
-                .parse()
-                .map_err(|e| format!("bad value in --bind `{spec}`: {e}"))?;
-            network.bind(name, value).map_err(|e| e.to_string())?;
-            i += 2;
-        } else {
-            i += 1;
+}
+
+/// Every `--bind NAME=VALUE`, in order.
+fn bindings(rest: &[String]) -> Result<Vec<(String, Rat)>, String> {
+    let mut bindings = Vec::new();
+    for pair in rest.windows(2).filter(|pair| pair[0] == "--bind") {
+        let spec = &pair[1];
+        let (name, value) = spec
+            .split_once('=')
+            .ok_or_else(|| format!("malformed --bind `{spec}` (want NAME=VALUE)"))?;
+        let value: Rat = value
+            .parse()
+            .map_err(|e| format!("bad value in --bind `{spec}`: {e}"))?;
+        bindings.push((name.to_string(), value));
+    }
+    Ok(bindings)
+}
+
+/// The program every engine runs. Under `--scheduler X` it is `source`
+/// re-rendered as if it declared `scheduler X;`, so the planner, the pass
+/// pipeline and every back end see the scheduler that actually runs.
+/// Prints the integrity check's warnings to stderr; its errors are left
+/// for the compile that follows to report.
+fn program_source(source: &str, rest: &[String]) -> Result<String, String> {
+    let mut program = bayonet::parse(source).map_err(|e| e.to_string())?;
+    if let Ok(report) = bayonet::check(&program) {
+        for w in &report.warnings {
+            eprintln!("warning: {}", w.message);
         }
     }
-    match flag_value(rest, "--scheduler") {
-        Some("uniform") => network.set_scheduler(Box::new(UniformScheduler)),
-        Some("det") | Some("deterministic") => {
-            network.set_scheduler(Box::new(DeterministicScheduler))
-        }
-        Some("rotor") => network.set_scheduler(Box::new(RotorScheduler)),
+    program.scheduler = match flag_value(rest, "--scheduler") {
+        None => return Ok(source.to_string()),
+        Some("uniform") => SchedulerSpec::Uniform,
+        Some("det" | "deterministic") => SchedulerSpec::RoundRobin,
+        Some("rotor") => SchedulerSpec::Rotor,
         Some(other) => return Err(format!("unknown scheduler `{other}`")),
-        None => {}
+    };
+    Ok(bayonet::pretty_program(&program))
+}
+
+/// A local compile of `source` with `bindings` applied, for the paths that
+/// have no endpoint and for the diagnostics.
+fn network(source: &str, bindings: &[(String, Rat)]) -> Result<Network, String> {
+    let mut network = Network::from_source(source).map_err(|e| e.to_string())?;
+    for (name, value) in bindings {
+        network
+            .bind(name, value.clone())
+            .map_err(|e| e.to_string())?;
     }
     Ok(network)
 }
 
-fn check(source: &str) -> Result<(), String> {
-    let program = bayonet::parse(source).map_err(|e| e.to_string())?;
-    match bayonet::check(&program) {
-        Ok(report) => {
-            for w in &report.warnings {
-                println!("warning: {}", w.message);
-            }
-            println!("ok: {} warning(s)", report.warnings.len());
-            Ok(())
-        }
-        Err(errors) => {
-            for e in &errors {
-                println!("{e}");
-            }
-            Err(format!("{} integrity error(s)", errors.len()))
-        }
-    }
+/// A request body: `source`, every field that is set, and the bindings.
+fn body(source: &str, bindings: &[(String, Rat)], fields: Vec<(&str, Option<Json>)>) -> String {
+    let bindings = bindings
+        .iter()
+        .map(|(name, value)| (name.clone(), Json::Str(value.to_string())))
+        .collect();
+    let fields = [("source", Some(Json::Str(source.to_string())))]
+        .into_iter()
+        .chain(fields)
+        .chain([("bindings", Some(Json::Obj(bindings)))])
+        .filter_map(|(name, value)| Some((name, value?)))
+        .collect();
+    Json::obj(fields).to_string()
 }
 
-fn run_queries(source: &str, rest: &[String]) -> Result<(), String> {
-    let mut network = load(source, rest)?;
-    let engine_flag = flag_value(rest, "--engine").unwrap_or("exact");
-    let want_stats = has_flag(rest, "--stats");
-    let passes = !has_flag(rest, "--no-opt");
-    let explain_passes = has_flag(rest, "--explain-passes");
-    if explain_passes && !passes {
-        return Err("--explain-passes cannot be combined with --no-opt".into());
-    }
-    let started = Instant::now();
+/// A numeric request field.
+fn num(n: u64) -> Json {
+    Json::Num(n as f64)
+}
 
-    // `--engine auto` consults the static cost model; `--explain-plan`
-    // prints the same estimate for any engine (diagnostics go to stderr so
-    // posterior output stays diffable). Planning reads the optimized
-    // model's cached pass facts and symmetry signals.
-    let plan = (engine_flag == "auto" || has_flag(rest, "--explain-plan")).then(|| {
-        if passes {
-            plan_model(
-                &bayonet::opt::optimize(network.model()),
-                &PlannerConfig::default(),
-                None,
-            )
-        } else {
-            plan_model(network.model(), &PlannerConfig::default(), None)
-        }
-    });
-    if has_flag(rest, "--explain-plan") {
-        eprintln!("{}", plan.as_ref().expect("plan computed above").explain());
-    }
-    let engine = if engine_flag == "auto" {
-        match plan.as_ref().and_then(|p| p.engine()) {
-            Some(PlanEngine::Bdd) => "bdd",
-            Some(PlanEngine::Smc) => "smc",
-            Some(PlanEngine::Enum) => "enum",
-            None => {
-                return Err(
-                    "planner found no feasible engine for this program (see --explain-plan)"
-                        .to_string(),
-                )
-            }
-        }
+/// Sends one request to a fresh in-process service — the one `bayonet
+/// serve` runs, with `threads` exact-engine workers — and prints its
+/// answer: a JSON response's `text`, or the NDJSON frames of a batch or
+/// sweep. Returns the service, for its `/metrics`, and the JSON body.
+///
+/// A non-200 response fails with its error message (a failed check first
+/// lists its integrity errors on stdout); so does a stream with any
+/// non-200 frame, after printing every frame.
+fn call(path: &str, body: String, threads: usize) -> Result<(Service, Json), String> {
+    let cache = bayonet_serve::DEFAULT_CACHE_ENTRIES;
+    let service = if threads > 1 {
+        Service::with_pool(cache, bayonet::ComputePool::new(threads))
     } else {
-        engine_flag
+        Service::new(cache)
     };
-
-    // An auto-routed SMC run uses the planner's error-bounded particle
-    // count; an explicit `--particles` always wins.
-    let planned_particles = (engine_flag == "auto")
-        .then(|| plan.as_ref().and_then(|p| p.particles))
-        .flatten();
-    let particles = flag_value(rest, "--particles")
-        .map(|v| v.parse::<usize>().map_err(|e| e.to_string()))
-        .transpose()?
-        .or(planned_particles)
-        .unwrap_or(1000);
-    let seed = flag_value(rest, "--seed")
-        .map(|v| v.parse::<u64>().map_err(|e| e.to_string()))
-        .transpose()?
-        .unwrap_or(0);
-    let approx = ApproxOptions {
-        particles,
-        seed,
-        ..Default::default()
+    let response = service.handle(&Request {
+        method: "POST".into(),
+        path: path.into(),
+        headers: Vec::new(),
+        body: body.into_bytes(),
+    });
+    let text = String::from_utf8_lossy(&response.body);
+    let noun = match path {
+        "/v1/batch" => "batch item(s)",
+        "/v1/sweep" => "sweep point(s)",
+        _ => "",
     };
-
-    let threads = flag_value(rest, "--threads")
-        .map(|v| match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            Ok(_) => Err("bad --threads value: must be at least 1".to_string()),
-            Err(e) => Err(format!("bad --threads value: {e}")),
-        })
-        .transpose()?
-        .unwrap_or(1);
-    if threads > 1 && engine_flag != "auto" && !matches!(engine, "exact" | "enum") {
-        // The diagram backend is single-threaded by design; erroring beats
-        // silently ignoring the flag. `auto` is exempt: the planner may
-        // route anywhere, and the pool simply goes unused off the
-        // enumeration path.
-        return Err(format!(
-            "--threads only applies to the exact enumeration engine, not `{engine}`"
-        ));
+    if response.status == 200 && !noun.is_empty() {
+        print!("{text}");
+        let status = |line: &str| parse_json(line).ok()?.get("status")?.as_u64();
+        let failed = text
+            .lines()
+            .filter(|line| status(line) != Some(200))
+            .count();
+        if failed > 0 {
+            let total = text.lines().count();
+            return Err(format!("{failed} of {total} {noun} failed"));
+        }
+        return Ok((service, Json::Null));
     }
-
-    // The exact family runs the optimized model; sampling/psi engines run
-    // the original (pass rewrites change the draw sequence for a fixed
-    // seed), so for them `--explain-passes` reports on a throwaway copy.
-    let exact_family = matches!(engine, "exact" | "enum" | "bdd");
-    let pass_report = (passes && exact_family).then(|| network.optimize().clone());
-    if explain_passes {
-        match &pass_report {
-            Some(report) => eprint!("{}", report.explain(&network.model().node_names)),
-            None => {
-                let optimized = bayonet::opt::optimize(network.model());
-                let info = optimized.opt_info().expect("optimize attaches a report");
-                eprint!("{}", info.report.explain(&optimized.node_names));
-            }
+    let doc = parse_json(&text).map_err(|e| format!("malformed response: {e}"))?;
+    if response.status != 200 {
+        let error = |field| doc.get("error").and_then(|e| e.get(field));
+        for detail in error("details").and_then(Json::as_arr).unwrap_or_default() {
+            println!("{}", detail.as_str().unwrap_or_default());
         }
+        let message = error("message").and_then(Json::as_str);
+        return Err(message.unwrap_or("request failed").to_string());
     }
-
-    match engine {
-        "exact" | "enum" | "bdd" => {
-            let opts = ExactOptions {
-                threads,
-                passes,
-                engine: if engine == "bdd" {
-                    EngineKind::Bdd
-                } else {
-                    EngineKind::Enum
-                },
-                ..ExactOptions::default()
-            };
-            let report = network.exact_with(&opts).map_err(|e| e.to_string())?;
-            for result in &report.results {
-                print!("{result}");
-            }
-            println!(
-                "Z = {} (discarded by observations: {})",
-                report.z, report.discarded
-            );
-            println!(
-                "[{} steps, {} expansions, peak {} configs, {} merge hits]",
-                report.stats.steps,
-                report.stats.expansions,
-                report.stats.peak_configs,
-                report.stats.merge_hits
-            );
-            if want_stats {
-                eprintln!(
-                    "stats: {} states expanded, {} merged, terminal mass {}, \
-                     feasibility cache {} hits / {} misses, {:.1} ms wall",
-                    report.stats.expansions,
-                    report.stats.merge_hits,
-                    report.z,
-                    report.stats.feasibility_hits,
-                    report.stats.feasibility_misses,
-                    started.elapsed().as_secs_f64() * 1000.0
-                );
-                if engine == "bdd" {
-                    eprintln!(
-                        "stats: bdd {} nodes, {} unique-table hits, {} apply-cache hits",
-                        report.stats.bdd_nodes,
-                        report.stats.bdd_unique_hits,
-                        report.stats.bdd_apply_cache_hits
-                    );
-                }
-                if let Some(pr) = &pass_report {
-                    eprintln!(
-                        "stats: opt {} pass runs, {} flips eliminated, {} guards folded, \
-                         group order {}, {} orbit merges",
-                        pr.pass_runs,
-                        pr.flips_eliminated,
-                        pr.guards_folded,
-                        pr.group_order,
-                        report.stats.orbit_merges
-                    );
-                }
-            }
-        }
-        "smc" | "rejection" => {
-            for idx in 0..network.queries().len() {
-                let est = if engine == "smc" {
-                    network.smc(idx, &approx)
-                } else {
-                    network.rejection(idx, &approx)
-                }
-                .map_err(|e| e.to_string())?;
-                println!(
-                    "{}: {est}  (Ẑ ≈ {:.4})",
-                    network.queries()[idx].source,
-                    est.z_estimate
-                );
-            }
-        }
-        "simulate" => {
-            let sim = network.simulate(&approx).map_err(|e| e.to_string())?;
-            print!("{}", sim.render(network.model()));
-        }
-        "psi" => {
-            for idx in 0..network.queries().len() {
-                let value = network.infer_via_psi(idx).map_err(|e| e.to_string())?;
-                println!(
-                    "{}: {value} ≈ {:.4}",
-                    network.queries()[idx].source,
-                    value.to_f64()
-                );
-            }
-        }
-        other => return Err(format!("unknown engine `{other}`\n{}", usage())),
-    }
-    if want_stats && !matches!(engine, "exact" | "enum" | "bdd") {
-        eprintln!(
-            "stats: {:.1} ms wall",
-            started.elapsed().as_secs_f64() * 1000.0
-        );
-    }
-    Ok(())
+    let text = doc.get("text").and_then(Json::as_str);
+    print!("{}", text.unwrap_or_default());
+    Ok((service, doc))
 }
 
-/// `bayonet run <file.json> --batch`: the file is a `/v1/batch` request
-/// body, not a program. Items run through the same orchestration as the
-/// server (shared-source compile amortization, pool fan-out, per-item
-/// errors) and the NDJSON frames are printed to stdout sorted by item
-/// index, so output is deterministic and diffable against server runs.
-fn run_batch_cmd(source: &str, rest: &[String]) -> Result<(), String> {
-    for flag in [
-        "--engine",
-        "--particles",
-        "--seed",
-        "--scheduler",
-        "--bind",
-        "--stats",
-        "--explain-plan",
-        "--no-opt",
-        "--explain-passes",
-    ] {
-        if has_flag(rest, flag) {
+/// `bayonet run`: one `/v1/run`, or a `/v1/batch` (`--batch`) or
+/// `/v1/sweep` (`--sweep`). The `psi` and `simulate` engines have no
+/// endpoint and run locally.
+fn run_cmd(source: &str, rest: &[String]) -> Result<(), String> {
+    let threads = threads(rest)?.unwrap_or(1);
+    if let Some(grid_file) = flag_value(rest, "--sweep") {
+        return sweep_cmd(source, grid_file, rest, threads);
+    }
+    if has_flag(rest, "--batch") {
+        // The file is a `/v1/batch` request body, not a program: every
+        // other option is set per item there.
+        let per_item = |arg: &&String| !matches!(arg.as_str(), "--batch" | "--threads");
+        if let Some(flag) = rest.iter().find(|a| a.starts_with("--") && per_item(a)) {
             return Err(format!(
                 "{flag} cannot be combined with --batch; set it per item in the batch file"
             ));
         }
+        return call("/v1/batch", source.to_string(), threads).map(drop);
     }
-    let threads = flag_value(rest, "--threads")
-        .map(|v| match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            Ok(_) => Err("bad --threads value: must be at least 1".to_string()),
-            Err(e) => Err(format!("bad --threads value: {e}")),
-        })
-        .transpose()?
-        .unwrap_or(1);
 
-    let service = bayonet_serve::Service::with_options(bayonet_serve::ServiceOptions {
-        cache_entries: bayonet_serve::DEFAULT_CACHE_ENTRIES,
-        pool: (threads > 1).then(|| bayonet::ComputePool::new(threads)),
-        persist: None,
-    })
-    .map_err(|e| format!("cannot build batch service: {e}"))?;
-    let request = bayonet_serve::Request {
-        method: "POST".into(),
-        path: "/v1/batch".into(),
-        headers: Vec::new(),
-        body: source.as_bytes().to_vec(),
-    };
-    let response = service.handle(&request);
-    let body = String::from_utf8_lossy(&response.body).into_owned();
-    if response.status != 200 {
-        return Err(format!("batch rejected ({}): {body}", response.status));
+    let engine = flag_value(rest, "--engine").unwrap_or("exact");
+    let passes = !has_flag(rest, "--no-opt");
+    let explain_plan = has_flag(rest, "--explain-plan");
+    let explain_passes = has_flag(rest, "--explain-passes");
+    let want_stats = has_flag(rest, "--stats");
+    if explain_passes && !passes {
+        return Err("--explain-passes cannot be combined with --no-opt".into());
     }
-    print!("{body}");
-    let failed = body
-        .lines()
-        .filter_map(|line| bayonet_serve::parse_json(line).ok())
-        .filter(|doc| doc.get("status").and_then(|s| s.as_u64()) != Some(200))
-        .count();
-    if failed > 0 {
-        let total = body.lines().count();
-        return Err(format!("{failed} of {total} batch item(s) failed"));
+    if threads > 1 && !matches!(engine, "auto" | "exact" | "enum") {
+        // The other engines are single-threaded; `auto` is exempt, as the
+        // planner may route anywhere and the pool then goes unused.
+        return Err(format!(
+            "--threads only applies to the exact enumeration engine, not `{engine}`"
+        ));
+    }
+    let particles = number(rest, "--particles")?;
+    let seed = number(rest, "--seed")?;
+    let bindings = bindings(rest)?;
+    let source = program_source(source, rest)?;
+    let started = Instant::now();
+
+    // `psi` and `simulate` run on a local compile, as do the diagnostics
+    // (on stderr, so the answer stays diffable); every other posterior
+    // comes from the service.
+    let diagnose = explain_plan || explain_passes || want_stats;
+    let local = (diagnose || !SERVED_ENGINES.contains(&engine))
+        .then(|| network(&source, &bindings))
+        .transpose()?;
+    let optimized = local
+        .as_ref()
+        .filter(|_| diagnose)
+        .map(|n| bayonet::opt::optimize(n.model()));
+    if let (Some(network), Some(optimized)) = (&local, &optimized) {
+        if explain_plan {
+            let model = if passes { optimized } else { network.model() };
+            let plan = plan_model(model, &PlannerConfig::default(), None);
+            eprintln!("{}", plan.explain());
+        }
+        if explain_passes {
+            let info = optimized.opt_info().expect("optimize attaches a report");
+            eprint!("{}", info.report.explain(&optimized.node_names));
+        }
+    }
+
+    let answer = match (engine, &local) {
+        ("simulate", Some(network)) => {
+            let opts = ApproxOptions {
+                seed: seed.unwrap_or(0),
+                ..ApproxOptions::default()
+            };
+            let sim = network.simulate(&opts).map_err(|e| e.to_string())?;
+            print!("{}", sim.render(network.model()));
+            None
+        }
+        ("psi", Some(network)) => {
+            for (idx, query) in network.queries().iter().enumerate() {
+                let value = network.infer_via_psi(idx).map_err(|e| e.to_string())?;
+                println!("{}: {value} ≈ {:.4}", query.source, value.to_f64());
+            }
+            None
+        }
+        (engine, _) if SERVED_ENGINES.contains(&engine) => {
+            let fields = vec![
+                ("engine", Some(Json::Str(engine.to_string()))),
+                ("particles", particles.map(num)),
+                ("seed", seed.map(num)),
+                ("passes", (!passes).then_some(Json::Bool(false))),
+                ("threads", (threads > 1).then(|| num(threads as u64))),
+            ];
+            Some(call("/v1/run", body(&source, &bindings, fields), threads)?)
+        }
+        (other, _) => return Err(format!("unknown engine `{other}`\n{}", usage())),
+    };
+    if want_stats {
+        let optimized = optimized.filter(|_| passes);
+        print_stats(answer.as_ref(), optimized.as_ref(), started);
     }
     Ok(())
 }
 
+/// `--stats` on stderr. An exact-family run reports the engine counters of
+/// the response `stats`, the feasibility, diagram and pass-pipeline series
+/// of the service's `/metrics` exposition, and the symmetry group order of the
+/// locally `optimized` model (given when the passes ran). Every other run
+/// reports only its wall time.
+fn print_stats(answer: Option<&(Service, Json)>, optimized: Option<&Model>, started: Instant) {
+    let wall_ms = started.elapsed().as_secs_f64() * 1000.0;
+    let Some((service, doc, stats)) =
+        answer.and_then(|(service, doc)| Some((service, doc, doc.get("stats")?)))
+    else {
+        eprintln!("stats: {wall_ms:.1} ms wall");
+        return;
+    };
+    let metrics = service.metrics().render();
+    let series = |name: &str| {
+        metrics
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or(0u64)
+    };
+    let count = |name| stats.get(name).and_then(Json::as_u64).unwrap_or(0);
+    eprintln!(
+        "stats: {} states expanded, {} merged, terminal mass {}, \
+         feasibility cache {} hits / {} misses, {wall_ms:.1} ms wall",
+        count("expansions"),
+        count("merge_hits"),
+        doc.get("z").and_then(Json::as_str).unwrap_or_default(),
+        series("bayonet_engine_feasibility_hits_total"),
+        series("bayonet_engine_feasibility_misses_total"),
+    );
+    if doc.get("engine").and_then(Json::as_str) == Some("bdd") {
+        eprintln!(
+            "stats: bdd {} nodes, {} unique-table hits, {} apply-cache hits",
+            series("bayonet_bdd_nodes_total"),
+            series("bayonet_bdd_unique_hits_total"),
+            series("bayonet_bdd_apply_cache_hits_total"),
+        );
+    }
+    if let Some(info) = optimized.and_then(Model::opt_info) {
+        eprintln!(
+            "stats: opt {} pass runs, {} flips eliminated, {} guards folded, \
+             group order {}, {} orbit merges",
+            series("bayonet_opt_pass_runs_total"),
+            series("bayonet_opt_flips_eliminated_total"),
+            series("bayonet_opt_guards_folded_total"),
+            info.report.group_order,
+            series("bayonet_opt_orbit_states_merged_total"),
+        );
+    }
+}
+
 /// `bayonet run <file.bay> --sweep <grid.json>`: sweeps the program across
 /// a parameter grid (the file maps parameter names to value arrays, e.g.
-/// `{"K": [1, 2, 3, 4]}`) through the same `/v1/sweep` orchestration as
-/// the server, sharing exploration work across grid points. One NDJSON
-/// frame per point is printed to stdout in row-major grid order; each
-/// frame's `body` is the answer an independent `run --bind` of that point
-/// would produce.
-fn run_sweep_cmd(source: &str, grid_file: &str, rest: &[String]) -> Result<(), String> {
-    for flag in [
+/// `{"K": [1, 2, 3, 4]}`) through `/v1/sweep`, sharing exploration work
+/// across grid points. One NDJSON frame per point is printed in row-major
+/// grid order; each frame's `body` is the answer an independent
+/// `run --bind` of that point would produce.
+fn sweep_cmd(source: &str, grid_file: &str, rest: &[String], threads: usize) -> Result<(), String> {
+    let pointwise = [
+        "--batch",
         "--particles",
         "--seed",
-        "--scheduler",
         "--stats",
         "--explain-plan",
-        "--explain-passes",
-    ] {
-        if has_flag(rest, flag) {
-            return Err(format!("{flag} cannot be combined with --sweep"));
-        }
+    ];
+    let pointwise = pointwise.into_iter().chain(["--explain-passes"]);
+    if let Some(flag) = pointwise.into_iter().find(|flag| has_flag(rest, flag)) {
+        return Err(format!("{flag} cannot be combined with --sweep"));
     }
     let grid_text = std::fs::read_to_string(grid_file)
         .map_err(|e| format!("cannot read sweep grid {grid_file}: {e}"))?;
-    let grid = bayonet_serve::parse_json(&grid_text)
-        .map_err(|e| format!("bad sweep grid {grid_file}: {e}"))?;
-    let threads = flag_value(rest, "--threads")
-        .map(|v| match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            Ok(_) => Err("bad --threads value: must be at least 1".to_string()),
-            Err(e) => Err(format!("bad --threads value: {e}")),
-        })
-        .transpose()?
-        .unwrap_or(1);
-
-    let mut fields = vec![
-        ("source", bayonet_serve::Json::Str(source.to_string())),
-        ("sweep", grid),
+    let grid = parse_json(&grid_text).map_err(|e| format!("bad sweep grid {grid_file}: {e}"))?;
+    let fields = vec![
+        ("sweep", Some(grid)),
+        (
+            "engine",
+            flag_value(rest, "--engine").map(|e| Json::Str(e.to_string())),
+        ),
+        (
+            "passes",
+            has_flag(rest, "--no-opt").then_some(Json::Bool(false)),
+        ),
+        ("threads", (threads > 1).then(|| num(threads as u64))),
     ];
-    if let Some(engine) = flag_value(rest, "--engine") {
-        fields.push(("engine", bayonet_serve::Json::Str(engine.to_string())));
-    }
-    if has_flag(rest, "--no-opt") {
-        fields.push(("passes", bayonet_serve::Json::Bool(false)));
-    }
-    // --bind NAME=VALUE (repeatable) become the fixed (non-swept) bindings.
-    let mut bindings = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        if rest[i] == "--bind" {
-            let spec = rest
-                .get(i + 1)
-                .ok_or_else(|| "--bind needs NAME=VALUE".to_string())?;
-            let (name, value) = spec
-                .split_once('=')
-                .ok_or_else(|| format!("malformed --bind `{spec}` (want NAME=VALUE)"))?;
-            bindings.push((
-                name.to_string(),
-                bayonet_serve::Json::Str(value.to_string()),
-            ));
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    if !bindings.is_empty() {
-        fields.push(("bindings", bayonet_serve::Json::Obj(bindings)));
-    }
-    if threads > 1 {
-        fields.push(("threads", bayonet_serve::Json::Num(threads as f64)));
-    }
-
-    let service = bayonet_serve::Service::with_options(bayonet_serve::ServiceOptions {
-        cache_entries: bayonet_serve::DEFAULT_CACHE_ENTRIES,
-        pool: (threads > 1).then(|| bayonet::ComputePool::new(threads)),
-        persist: None,
-    })
-    .map_err(|e| format!("cannot build sweep service: {e}"))?;
-    let request = bayonet_serve::Request {
-        method: "POST".into(),
-        path: "/v1/sweep".into(),
-        headers: Vec::new(),
-        body: bayonet_serve::Json::obj(fields).to_string().into_bytes(),
-    };
-    let response = service.handle(&request);
-    let body = String::from_utf8_lossy(&response.body).into_owned();
-    if response.status != 200 {
-        return Err(format!("sweep rejected ({}): {body}", response.status));
-    }
-    print!("{body}");
-    let failed = body
-        .lines()
-        .filter_map(|line| bayonet_serve::parse_json(line).ok())
-        .filter(|doc| doc.get("status").and_then(|s| s.as_u64()) != Some(200))
-        .count();
-    if failed > 0 {
-        let total = body.lines().count();
-        return Err(format!("{failed} of {total} sweep point(s) failed"));
-    }
-    Ok(())
+    let bindings = bindings(rest)?;
+    let source = program_source(source, rest)?;
+    call("/v1/sweep", body(&source, &bindings, fields), threads).map(drop)
 }
 
 fn serve_cmd(rest: &[String]) -> Result<(), String> {
@@ -597,36 +516,21 @@ fn serve_cmd(rest: &[String]) -> Result<(), String> {
     if let Some(addr) = flag_value(rest, "--addr") {
         config.addr = addr.to_string();
     }
-    if let Some(threads) = flag_value(rest, "--threads") {
-        config.threads = threads
-            .parse()
-            .map_err(|e| format!("bad --threads value: {e}"))?;
-    }
-    if let Some(entries) = flag_value(rest, "--cache-entries") {
-        config.cache_entries = entries
-            .parse()
-            .map_err(|e| format!("bad --cache-entries value: {e}"))?;
-    }
     if let Some(dir) = flag_value(rest, "--cache-dir") {
         config.cache_dir = Some(dir.into());
     }
-    if let Some(max) = flag_value(rest, "--cache-max-bytes") {
-        config.cache_max_bytes = max
-            .parse()
-            .map_err(|e| format!("bad --cache-max-bytes value: {e}"))?;
+    config.threads = threads(rest)?.unwrap_or(config.threads);
+    let sizes = [
+        ("--cache-entries", &mut config.cache_entries),
+        ("--replicas", &mut config.replicas),
+        ("--max-connections", &mut config.max_connections),
+    ];
+    for (name, field) in sizes {
+        *field = number(rest, name)?.map_or(*field, |n| n as usize);
     }
-    if let Some(replicas) = flag_value(rest, "--replicas") {
-        config.replicas = replicas
-            .parse()
-            .map_err(|e| format!("bad --replicas value: {e}"))?;
-        if config.replicas == 0 {
-            return Err("--replicas must be at least 1".to_string());
-        }
-    }
-    if let Some(max) = flag_value(rest, "--max-connections") {
-        config.max_connections = max
-            .parse()
-            .map_err(|e| format!("bad --max-connections value: {e}"))?;
+    config.cache_max_bytes = number(rest, "--cache-max-bytes")?.unwrap_or(config.cache_max_bytes);
+    if config.replicas == 0 {
+        return Err("--replicas must be at least 1".to_string());
     }
     let replicas = config.replicas;
     let handle = bayonet_serve::start(config).map_err(|e| format!("cannot start server: {e}"))?;
@@ -642,51 +546,20 @@ fn serve_cmd(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `bayonet synthesize`: one `/v1/synthesize`.
 fn synthesize_cmd(source: &str, rest: &[String]) -> Result<(), String> {
-    let network = load(source, rest)?;
-    let query = flag_value(rest, "--query")
-        .map(|v| v.parse::<usize>().map_err(|e| e.to_string()))
-        .transpose()?
-        .unwrap_or(0);
-    let opts = SynthesisOptions {
-        objective: if has_flag(rest, "--maximize") {
-            Objective::Maximize
-        } else {
-            Objective::Minimize
-        },
-        positive_params: !has_flag(rest, "--allow-zero-params"),
-    };
-    let synthesis = synthesize_with(&network, query, opts).map_err(|e| e.to_string())?;
-    println!("piecewise result:");
-    for (i, cell) in synthesis.result.cells.iter().enumerate() {
-        let marker = if i == synthesis.best_cell { "*" } else { " " };
-        let value = cell
-            .value
-            .as_ref()
-            .map(|v| format!("{v}"))
-            .unwrap_or_else(|| "undefined".into());
-        println!("{marker} [{}] {value}", cell.constraint);
-    }
-    println!(
-        "optimal value: {} ≈ {:.4}",
-        synthesis.value,
-        synthesis.value.to_f64()
-    );
-    println!("constraint:    {}", synthesis.constraint);
-    print!("witness:      ");
-    for (pid, v) in &synthesis.assignment {
-        print!(" {} = {v}", network.model().params.name(*pid));
-    }
-    println!();
-    Ok(())
-}
-
-fn codegen(source: &str, rest: &[String]) -> Result<(), String> {
-    let network = load(source, &[])?;
-    match flag_value(rest, "--target").unwrap_or("psi") {
-        "psi" => print!("{}", network.to_psi()),
-        "webppl" => print!("{}", network.to_webppl()),
-        other => return Err(format!("unknown codegen target `{other}`")),
-    }
-    Ok(())
+    let fields = vec![
+        ("query", number(rest, "--query")?.map(num)),
+        (
+            "maximize",
+            has_flag(rest, "--maximize").then_some(Json::Bool(true)),
+        ),
+        (
+            "allow_zero_params",
+            has_flag(rest, "--allow-zero-params").then_some(Json::Bool(true)),
+        ),
+    ];
+    let bindings = bindings(rest)?;
+    let source = program_source(source, rest)?;
+    call("/v1/synthesize", body(&source, &bindings, fields), 1).map(drop)
 }

@@ -291,3 +291,69 @@ fn run_sweep_rejects_incompatible_flags_and_bad_grids() {
     assert!(!ok);
     assert!(stderr.contains("unknown swept parameter `K`"), "{stderr}");
 }
+
+/// Two senders and one receiver with a capacity-1 queue: the scheduler
+/// decides whether both packets arrive (1 under round-robin, 0 under the
+/// rotor, 5/8 under the uniform scheduler).
+const TWO_SENDERS: &str = "\
+packet_fields { tag }
+topology { nodes { A, B, C } links { (A, pt1) <-> (C, pt1), (B, pt1) <-> (C, pt2) } }
+programs { A -> send, B -> send, C -> recv }
+queue_capacity 1;
+init { packet -> (A, pt1); packet -> (B, pt1); }
+query probability(got@C == 2);
+def send(pkt, pt) { fwd(1); }
+def recv(pkt, pt) state got(0) { got = got + 1; drop; }
+";
+
+/// Writes `source` to a fresh file in the temp directory.
+fn temp_program(name: &str, source: &str) -> String {
+    let path = std::env::temp_dir().join(format!("bayonet-cli-{}-{name}", std::process::id()));
+    std::fs::write(&path, source).expect("write temp program");
+    path.to_string_lossy().into_owned()
+}
+
+#[test]
+fn scheduler_override_reaches_the_psi_backend() {
+    let file = temp_program("two_senders.bay", TWO_SENDERS);
+    let (ok, stdout, stderr) = cli(&["run", &file, "--engine", "psi", "--scheduler", "det"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout, "got@C == 2: 1 ≈ 1.0000\n");
+    // The PSI back end has no rotor scheduler: the override is refused,
+    // not silently replaced by the uniform scheduler.
+    let (ok, stdout, stderr) = cli(&["run", &file, "--engine", "psi", "--scheduler", "rotor"]);
+    assert!(!ok, "{stdout}");
+    assert!(stderr.contains("not supported"), "{stderr}");
+    let _ = std::fs::remove_file(file);
+}
+
+#[test]
+fn scheduler_override_reaches_the_planner() {
+    let (ok, _, stderr) = cli(&[
+        "run",
+        &bay_file("gossip_k4.bay"),
+        "--engine",
+        "auto",
+        "--explain-plan",
+        "--scheduler",
+        "rotor",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stderr.contains("sched_branching=1.0") && stderr.contains("symmetry_order=1 "),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn scheduler_override_equals_declaring_the_scheduler() {
+    let gossip = std::fs::read_to_string(bay_file("gossip_k4.bay")).expect("read gossip_k4");
+    let declared = temp_program("gossip_rotor.bay", &format!("{gossip}\nscheduler rotor;\n"));
+    let (ok, overridden, stderr) =
+        cli(&["run", &bay_file("gossip_k4.bay"), "--scheduler", "rotor"]);
+    assert!(ok, "{stderr}");
+    let (ok, expected, stderr) = cli(&["run", &declared]);
+    assert!(ok, "{stderr}");
+    assert_eq!(overridden, expected);
+    let _ = std::fs::remove_file(declared);
+}

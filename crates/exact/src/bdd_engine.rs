@@ -446,9 +446,14 @@ enum RunTag {
 /// (the guard and scheduler state are unchanged by G-Fwd within one
 /// action), packed two bits per node. Tags are cloned, compared, and hashed
 /// once per leaf call, so they must stay allocation-free; the packing caps
-/// the backend at 64 nodes (larger models fall back to enumeration — see
-/// the dispatch in [`crate::engine::analyze`]).
+/// the backend at [`MAX_NODES`].
 type FwdTag = u128;
+
+/// The largest model the diagram backend runs: [`pack_flags`] packs two
+/// flag bits per node into a [`FwdTag`]. Larger models fall back to
+/// enumeration (see the dispatch in [`crate::engine::analyze`]), and the
+/// planner never routes them here.
+pub(crate) const MAX_NODES: usize = FwdTag::BITS as usize / 2;
 
 /// Packs a flag vector two bits per node: bit `2i` is `q_in` nonempty, bit
 /// `2i + 1` is `q_out` nonempty.

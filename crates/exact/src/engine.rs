@@ -859,10 +859,8 @@ pub fn analyze(
         EngineKind::Auto => crate::planner::choose_exact(model),
         explicit => explicit,
     };
-    if engine == EngineKind::Bdd && model.num_nodes() <= 64 {
-        // The diagram backend packs per-node queue flags into a `u128` (two
-        // bits per node); larger models fall back to enumeration, which has
-        // no such bound.
+    if engine == EngineKind::Bdd && model.num_nodes() <= crate::bdd_engine::MAX_NODES {
+        // Larger models fall back to enumeration, which has no such bound.
         return crate::bdd_engine::analyze_bdd(model, scheduler, opts);
     }
     let bound = step_bound(model, opts);

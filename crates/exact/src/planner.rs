@@ -362,16 +362,16 @@ pub fn plan_model(model: &Model, cfg: &PlannerConfig, budget: Option<Duration>) 
     };
     let est_enum_ns = (est_expansions * cfg.ns_per_expansion as f64).min(1e18) as u64;
 
-    // BDD: eligible under the u128 packing bound and only worth the base
-    // overhead when there is structure sharing to exploit. A proven orbit
-    // from the pass pipeline overrides the Arc-sharing proxy.
+    // BDD: eligible under the backend's flag-packing bound and only worth
+    // the base overhead when there is structure sharing to exploit. A proven
+    // orbit from the pass pipeline overrides the Arc-sharing proxy.
     let shared = if signals.symmetry_largest_orbit >= 2 {
         signals.symmetry_largest_orbit
     } else {
         signals.shared_program_nodes
     };
-    let est_bdd_ns =
-        (signals.nodes <= 64 && shared >= 2).then(|| est_enum_ns / shared as u64 + cfg.bdd_base_ns);
+    let est_bdd_ns = (signals.nodes <= crate::bdd_engine::MAX_NODES && shared >= 2)
+        .then(|| est_enum_ns / shared as u64 + cfg.bdd_base_ns);
 
     // SMC: error-bounded particle count from worst-case Bernoulli variance.
     let (est_smc_ns, particles) = if signals.symbolic_params {

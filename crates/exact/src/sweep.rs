@@ -184,7 +184,7 @@ pub fn sweep(
         ..opts.clone()
     };
 
-    if engine == EngineKind::Bdd && base.num_nodes() <= 64 {
+    if engine == EngineKind::Bdd && base.num_nodes() <= crate::bdd_engine::MAX_NODES {
         // The diagram backend has no incremental frontier to snapshot;
         // every point runs in full (still through the shared plan/options).
         return Ok(per_point_route(&base, &*scheduler, &opts, params, points));

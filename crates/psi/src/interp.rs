@@ -396,8 +396,11 @@ impl Interp {
                     other => Err(type_error("tuple", other)),
                 },
                 LValue::Index(inner, idx_expr) => {
+                    // Inner indices come first, in the order
+                    // `collect_indices` evaluated them.
+                    let slot = walk(globals, inner, indices)?;
                     let idx = indices(idx_expr)?;
-                    match walk(globals, inner, indices)? {
+                    match slot {
                         PValue::Array(items) => {
                             let len = items.len();
                             items.get_mut(idx).ok_or_else(|| oob(idx, len))
@@ -581,6 +584,42 @@ mod tests {
             result: PExpr::Index(
                 Box::new(PExpr::Proj(Box::new(PExpr::Var(0)), 1)),
                 Box::new(c(0)),
+            ),
+        };
+        let post = infer_exact(&p, DEFAULT_STEP_LIMIT).unwrap();
+        assert_eq!(post.support, vec![(PValue::int(9), Rat::one())]);
+    }
+
+    #[test]
+    fn nested_index_lvalues_apply_inner_index_first() {
+        // a = [([0], [0, 0]), ([0], [0, 0])]; a[0].1[1] = 9; return a[0].1[1]
+        // The inner (0) and outer (1) indices differ, so applying them in
+        // the wrong order writes a[1].1[0] instead.
+        let pair = || {
+            PExpr::Tuple(vec![
+                PExpr::ArrayLit(vec![c(0)]),
+                PExpr::ArrayLit(vec![c(0), c(0)]),
+            ])
+        };
+        let p = PProgram {
+            global_names: vec!["a".into()],
+            init: vec![PExpr::ArrayLit(vec![pair(), pair()])],
+            body: vec![PStmt::Assign(
+                LValue::Index(
+                    Box::new(LValue::Proj(
+                        Box::new(LValue::Index(Box::new(LValue::Var(0)), c(0))),
+                        1,
+                    )),
+                    c(1),
+                ),
+                c(9),
+            )],
+            result: PExpr::Index(
+                Box::new(PExpr::Proj(
+                    Box::new(PExpr::Index(Box::new(PExpr::Var(0)), Box::new(c(0)))),
+                    1,
+                )),
+                Box::new(c(1)),
             ),
         };
         let post = infer_exact(&p, DEFAULT_STEP_LIMIT).unwrap();

@@ -269,3 +269,12 @@ fn data_dependent_fwd_ports_agree() {
     );
     assert_backends_agree(&m);
 }
+
+#[test]
+fn firewall_nat_example_agrees() {
+    // Packet fields written at a queue index: the translation assigns
+    // through nested lvalues like `q_in[0].0[f] = v`, whose inner and outer
+    // indices differ.
+    let m = model(include_str!("../../../examples/bay/firewall_nat.bay"));
+    assert_backends_agree(&m);
+}

@@ -5,7 +5,7 @@
 //! keep-alive, no chunked encoding, no TLS. Limits on header and body sizes
 //! guard against hostile or broken clients.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Maximum accepted size of the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 64 * 1024;
@@ -175,18 +175,12 @@ impl RequestParser {
         self.buf.is_empty() && self.head.is_none()
     }
 
-    /// Whether the head was fully received (an EOF after this point is a
-    /// torn body rather than a torn head).
-    pub fn head_complete(&self) -> bool {
-        self.head.is_some()
-    }
-
     /// Consumes the next fragment from the wire.
     ///
     /// # Errors
     ///
-    /// Same taxonomy as [`read_request`]; once an error is returned the
-    /// parser must be discarded (the connection answers 4xx and closes).
+    /// See [`RequestError`]; once an error is returned the parser must be
+    /// discarded (the connection answers 4xx and closes).
     pub fn feed(&mut self, bytes: &[u8]) -> Result<ParseStatus, RequestError> {
         if self.head.is_none() {
             // Resume the boundary scan a few bytes back, in case the blank
@@ -237,37 +231,6 @@ fn find_head_end(buf: &[u8], from: usize) -> Option<(usize, usize)> {
         i += 1;
     }
     None
-}
-
-/// Reads one request from `stream` (blocking). A convenience wrapper over
-/// [`RequestParser`] for synchronous callers — the CLI, tests, and the
-/// replica-side of simple tooling.
-///
-/// # Errors
-///
-/// See [`RequestError`]. A clean EOF before any byte yields
-/// `Malformed("empty request")` — callers usually just drop the connection.
-pub fn read_request(stream: &mut impl Read) -> Result<Request, RequestError> {
-    let mut parser = RequestParser::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            if parser.is_empty() {
-                return Err(RequestError::Malformed("empty request"));
-            }
-            if parser.head_complete() {
-                return Err(RequestError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-body",
-                )));
-            }
-            return Err(RequestError::Malformed("truncated request head"));
-        }
-        if let ParseStatus::Complete(request) = parser.feed(&chunk[..n])? {
-            return Ok(request);
-        }
-    }
 }
 
 /// An HTTP response ready to serialize.
@@ -429,10 +392,17 @@ pub fn status_reason(status: u16) -> &'static str {
 mod tests {
     use super::*;
 
+    /// Feeds `raw` in one fragment, as the event loop would.
+    fn parse(raw: &[u8]) -> Result<ParseStatus, RequestError> {
+        RequestParser::new().feed(raw)
+    }
+
     #[test]
     fn parses_a_post_with_body() {
         let raw = b"POST /v1/run HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd";
-        let req = read_request(&mut &raw[..]).unwrap();
+        let Ok(ParseStatus::Complete(req)) = parse(raw) else {
+            panic!("request should be complete");
+        };
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/run");
         assert_eq!(req.header("host"), Some("x"));
@@ -441,8 +411,9 @@ mod tests {
 
     #[test]
     fn parses_a_get_without_body() {
-        let raw = b"GET /healthz HTTP/1.1\r\n\r\n";
-        let req = read_request(&mut &raw[..]).unwrap();
+        let Ok(ParseStatus::Complete(req)) = parse(b"GET /healthz HTTP/1.1\r\n\r\n") else {
+            panic!("request should be complete");
+        };
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/healthz");
         assert!(req.body.is_empty());
@@ -451,13 +422,13 @@ mod tests {
     #[test]
     fn rejects_bad_requests() {
         assert!(matches!(
-            read_request(&mut &b""[..]),
-            Err(RequestError::Malformed("empty request"))
+            parse(b"GET /x SPDY/9\r\n\r\n"),
+            Err(RequestError::Malformed(_))
         ));
-        let raw = b"GET /x SPDY/9\r\n\r\n";
-        assert!(read_request(&mut &raw[..]).is_err());
-        let raw = b"GET /x HTTP/1.1\r\nContent-Length: zebra\r\n\r\n";
-        assert!(read_request(&mut &raw[..]).is_err());
+        assert!(matches!(
+            parse(b"GET /x HTTP/1.1\r\nContent-Length: zebra\r\n\r\n"),
+            Err(RequestError::Malformed(_))
+        ));
     }
 
     #[test]

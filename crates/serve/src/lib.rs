@@ -24,8 +24,8 @@
 //! it in `error.field` — on every endpoint. `docs/SERVER.md` documents the
 //! fields. All inference endpoints share one decode → resolve → plan →
 //! execute → frame pipeline; responses carry structured JSON plus a `text`
-//! field rendered byte-for-byte identically to the `bayonet` CLI output,
-//! so the two can be diffed directly.
+//! field, which is what the `bayonet` CLI prints: its `run`, `check` and
+//! `synthesize` commands are in-process clients of [`Service`].
 //!
 //! A fixed worker pool pulls jobs from a bounded queue (overload is
 //! answered with `503` + `Retry-After`), per-request `timeout_ms` budgets
@@ -71,8 +71,8 @@ mod service;
 
 pub use cache::LruCache;
 pub use http::{
-    read_request, ChunkedWriter, ParseStatus, Request, RequestError, RequestParser, Response,
-    MAX_BODY_BYTES, MAX_HEAD_BYTES,
+    ChunkedWriter, ParseStatus, Request, RequestError, RequestParser, Response, MAX_BODY_BYTES,
+    MAX_HEAD_BYTES,
 };
 pub use json::{parse as parse_json, Json, ParseError as JsonParseError};
 pub use metrics::Metrics;

@@ -864,6 +864,29 @@ mod tests {
     }
 
     #[test]
+    fn every_family_is_documented() {
+        // Bind everything a family can depend on, so the conditional ones
+        // (persistence, pool, router) render too.
+        let m = Metrics::new();
+        m.bind_persist(Arc::new(PersistCounters::default()));
+        m.bind_pool(ComputePool::new(2));
+        m.record_routed(0);
+        let docs = include_str!("../../../docs/SERVER.md");
+        let text = m.render();
+        let families: Vec<&str> = text
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE ")?.split(' ').next())
+            .collect();
+        assert!(families.len() >= 49, "{families:?}");
+        for family in families {
+            assert!(
+                docs.contains(&format!("`{family}`")),
+                "docs/SERVER.md does not name /metrics family `{family}`"
+            );
+        }
+    }
+
+    #[test]
     fn histogram_buckets_are_cumulative() {
         let mut h = Histogram::default();
         h.observe(0.0005);

@@ -18,8 +18,9 @@
 //!    [`Service::handle`] or streamed as chunks by [`Service::serve`].
 //!
 //! A `/v1/run` is a batch of one, run inline, so a batch item's frame is
-//! byte-identical to the same run. Exact results carry a `text` field
-//! rendered **byte-for-byte identically** to `bayonet run` stdout.
+//! byte-identical to the same run. Every `200` inference body carries a
+//! `text` field, which `bayonet run`, `check` and `synthesize` print: the
+//! CLI is an in-process client of this service.
 //!
 //! Successful inference responses are cached in an LRU keyed by a hash of
 //! the canonically pretty-printed program, the engine, the query selection,
@@ -584,7 +585,6 @@ impl Service {
             } else {
                 rejection(model, &*scheduler, q, &opts)
             }?;
-            // Byte-for-byte the stdout of `bayonet run --engine smc`.
             let _ = writeln!(text, "{}: {est}  (Ẑ ≈ {:.4})", q.source, est.z_estimate);
             estimates.push(Json::obj(vec![
                 ("query", Json::Str(q.source.clone())),
@@ -632,7 +632,6 @@ impl Service {
         )
         .map_err(|e| engine_failure(false, &e))?;
 
-        // Byte-for-byte the stdout of `bayonet synthesize`.
         let mut text = String::new();
         let _ = writeln!(text, "piecewise result:");
         let mut cells = Vec::new();
