@@ -94,6 +94,24 @@ fn codegen_targets() {
 }
 
 #[test]
+fn codegen_is_byte_identical_across_runs() {
+    // Each run hashes the topology with a fresh random seed, so an output
+    // that followed hash-map order would differ between the runs.
+    for target in ["psi", "webppl"] {
+        let outputs: Vec<String> = (0..3)
+            .map(|_| {
+                let (ok, out, err) =
+                    cli(&["codegen", &bay_file("gossip_k4.bay"), "--target", target]);
+                assert!(ok, "{err}");
+                out
+            })
+            .collect();
+        assert_eq!(outputs[0], outputs[1], "--target {target}");
+        assert_eq!(outputs[0], outputs[2], "--target {target}");
+    }
+}
+
+#[test]
 fn pretty_is_reparseable_by_check() {
     let (ok, pretty, _) = cli(&["pretty", &bay_file("ecmp_costs.bay")]);
     assert!(ok);
@@ -202,8 +220,26 @@ fn serve_rejects_bad_flags() {
 
 #[test]
 fn run_auto_engine_routes_and_explains() {
-    // gossip_k4 routes to the BDD backend; the posterior matches the
-    // explicit run bit for bit and the plan goes to stderr only.
+    // Round-robin gossip_k4 routes to the BDD backend; the posterior
+    // matches the explicit run bit for bit and the plan goes to stderr only.
+    let (ok, stdout, stderr) = cli(&[
+        "run",
+        &bay_file("gossip_k4.bay"),
+        "--engine",
+        "auto",
+        "--explain-plan",
+        "--scheduler",
+        "det",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("94/27"), "{stdout}");
+    assert!(!stdout.contains("plan:"), "{stdout}");
+    assert!(stderr.contains("plan: engine=bdd"), "{stderr}");
+    assert!(stderr.contains("est_cost="), "{stderr}");
+    assert!(stderr.contains("shared_program_nodes="), "{stderr}");
+
+    // Under its own uniform scheduler it routes to enumeration, and the
+    // pilot finishes the run, so the estimate is the exact count.
     let (ok, stdout, stderr) = cli(&[
         "run",
         &bay_file("gossip_k4.bay"),
@@ -213,10 +249,11 @@ fn run_auto_engine_routes_and_explains() {
     ]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("94/27"), "{stdout}");
-    assert!(!stdout.contains("plan:"), "{stdout}");
-    assert!(stderr.contains("plan: engine=bdd"), "{stderr}");
-    assert!(stderr.contains("est_cost="), "{stderr}");
-    assert!(stderr.contains("shared_program_nodes="), "{stderr}");
+    assert!(
+        stderr.contains("plan: engine=enum") && stderr.contains("est_expansions=1529 "),
+        "{stderr}"
+    );
+    assert!(stderr.contains("finished=true"), "{stderr}");
 
     // --explain-plan also works with an explicit engine and never changes
     // what actually runs.
@@ -224,12 +261,12 @@ fn run_auto_engine_routes_and_explains() {
         "run",
         &bay_file("gossip_k4.bay"),
         "--engine",
-        "enum",
+        "bdd",
         "--explain-plan",
     ]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("94/27"), "{stdout}");
-    assert!(stderr.contains("plan: engine=bdd"), "{stderr}");
+    assert!(stderr.contains("plan: engine=enum"), "{stderr}");
 }
 
 #[test]

@@ -58,9 +58,10 @@ pub enum EngineKind {
     /// order of magnitude — when nodes' local states are conditionally
     /// independent. Single-threaded; ignores [`ExactOptions::threads`].
     Bdd,
-    /// Let the static cost model pick between [`EngineKind::Enum`] and
-    /// [`EngineKind::Bdd`] (see [`crate::planner`]). The choice is a pure
-    /// function of the model, so results stay deterministic.
+    /// Let the planner's structural choice pick between
+    /// [`EngineKind::Enum`] and [`EngineKind::Bdd`] (see
+    /// [`crate::planner::choose_exact`]). The choice is a pure function of
+    /// the model, so results stay deterministic.
     Auto,
 }
 
@@ -616,7 +617,7 @@ fn expand_frontier_parallel(
 /// ([`crate::sweep`]) instead snapshots it (it is `Clone`) at the last step
 /// that provably did not depend on a swept parameter, and replays the
 /// remainder once per grid point.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub(crate) struct EnumState {
     frontier: Weighted,
     terminal_acc: Weighted,
@@ -686,6 +687,11 @@ impl EnumState {
     /// Has the exploration reached its fixpoint (empty frontier)?
     pub(crate) fn done(&self) -> bool {
         self.frontier.is_empty()
+    }
+
+    /// Configurations the next [`EnumState::step`] will expand.
+    pub(crate) fn frontier_len(&self) -> usize {
+        self.frontier.len()
     }
 
     /// Executes one global step: bound checks, then a (possibly parallel)
@@ -853,7 +859,7 @@ pub fn analyze(
         model
     };
     let engine = match opts.engine {
-        // Auto resolves through the static cost model; the choice depends
+        // Auto resolves through the planner's structural choice; it depends
         // only on the model, so posteriors (bit-identical across backends
         // anyway) and statistics stay deterministic.
         EngineKind::Auto => crate::planner::choose_exact(model),
@@ -863,11 +869,26 @@ pub fn analyze(
         // Larger models fall back to enumeration, which has no such bound.
         return crate::bdd_engine::analyze_bdd(model, scheduler, opts);
     }
+    enumerate_from(None, model, scheduler, opts)
+}
+
+/// Runs enumeration to the fixpoint, from `start` (a state some earlier
+/// steps of the same run reached, such as the planner's pilot) or from the
+/// initial distribution.
+pub(crate) fn enumerate_from(
+    start: Option<EnumState>,
+    model: &Model,
+    scheduler: &dyn Scheduler,
+    opts: &ExactOptions,
+) -> Result<Analysis, ExactError> {
     let bound = step_bound(model, opts);
     let (run_cache, opts, (hits_before, misses_before)) = run_cache_opts(opts);
     let (_lease, workers) = lease_workers(&opts);
 
-    let mut state = EnumState::init(model, scheduler, &opts)?;
+    let mut state = match start {
+        Some(state) => state,
+        None => EnumState::init(model, scheduler, &opts)?,
+    };
     while !state.done() {
         state.step(model, scheduler, &opts, workers, bound)?;
     }

@@ -47,7 +47,10 @@ mod synthesize;
 pub use bayonet_symbolic::FeasibilityCache;
 pub use engine::{analyze, Analysis, EngineKind, EngineStats, ExactError, ExactOptions};
 pub use enumerate::{enumerate_eval, enumerate_eval_cached, Branch, ReplayDriver};
-pub use planner::{plan_model, Plan, PlanDecision, PlanEngine, PlanSignals, PlannerConfig};
+pub use planner::{
+    choose_exact, plan_model, plan_with, Pilot, Plan, PlanDecision, PlanEngine, PlanSignals,
+    PlannerConfig,
+};
 pub use pool::{ComputePool, PoolLease, PoolStats};
 pub use query::{
     answer, answer_cached, value_distribution, CellAnswer, QueryResult, MAX_CELL_ATOMS,

@@ -1,91 +1,64 @@
-//! Static cost-model query planner: predict inference cost, pick the engine.
+//! Measured query planner: the exact engine from the program's structure,
+//! then admission, sampling fallback or rejection from a pilot run.
 //!
-//! The paper fixes its inference strategy per experiment (exact enumeration,
-//! or sampling with a fixed 1000 particles). This module does what Batz et
-//! al.'s *expected sampling time* analysis does for sampling — estimate the
-//! cost of a run **before** starting it — but for all three of our engines,
-//! from nothing more than the compiled [`Model`]:
+//! * **Engine choice**, read off the engine matrix
+//!   (`crates/exact/tests/data/engine_matrix.tsv`). The diagram engine wins
+//!   only where the state factorizes, Holtzen et al.'s condition for
+//!   compiled inference to pay: under a deterministic scheduler, packets at
+//!   several nodes sharing a branching handler choose independently, and
+//!   the diagram stores their product as a sum. A random scheduler couples
+//!   every node to every other each step, and handlers that barely branch
+//!   leave no product to factor. The choice fixes the cache key.
+//! * **Pilot**: the enumeration's own first steps, capped at
+//!   [`PILOT_EXPANSIONS`] and counted in work, never clock time, under the
+//!   request's deadline. Finished, it knows the exact expansion count;
+//!   otherwise it extrapolates (Batz et al.'s cost estimated before the
+//!   run, measured instead of guessed). Admission and the SMC cutover read
+//!   that count; enumeration continues from the pilot ([`Pilot::resume`]),
+//!   so no step runs twice.
 //!
-//! * **Enumeration** cost is driven by frontier growth. Each global step
-//!   multiplies the frontier by the scheduler's branching (how many enabled
-//!   actions it splits mass over) times the handlers' internal branching
-//!   (`flip` ×2, `uniform(lo, hi)` ×span), then configuration merging
-//!   collapses most of that product back down. Calibrated against the
-//!   curated corpus, the *effective* per-step growth is well modeled as
-//!   `(sched_branching × handler_branching) ^ ALPHA` with `ALPHA ≈ 0.2` —
-//!   merging absorbs roughly the 0.8 power of the raw product. Total
-//!   expansions are the geometric sum of that growth over the step horizon
-//!   (the program's `num_steps`, else `4·nodes + 2` — the paper's generated
-//!   programs use horizons linear in the node count), and each expansion
-//!   costs a calibrated constant (~10 µs on the reference host).
-//! * **BDD** (knowledge compilation) wins when nodes share a program: the
-//!   diagram represents the symmetric product once. The calibrated speedup
-//!   over enumeration is approximately the size of the largest group of
-//!   nodes sharing one [`CompiledProgram`](bayonet_net::CompiledProgram),
-//!   paid for with a constant compilation overhead — so tiny programs route
-//!   to enumeration even when symmetric. The backend packs per-node flags
-//!   into a `u128`, so models with more than 64 nodes are never routed to
-//!   it.
-//! * **SMC** cost is linear: `particles × horizon × nodes` simulation steps.
-//!   Rather than the paper's fixed 1000 particles, the planner picks an
-//!   error-bounded count from the worst-case Bernoulli variance:
-//!   `n = ⌈0.25 / target_std_error²⌉` (a posterior probability estimated
-//!   from `n` particles has standard error at most `0.5/√n`). Symbolic
-//!   parameters rule SMC out — sampling cannot produce piecewise results.
-//!
-//! The planner prefers exact engines (the cheaper of enumeration and BDD)
-//! whenever the estimate fits the budget, falls back to SMC when exact
-//! inference would blow the deadline (or the no-deadline cutover), and
-//! reports [`PlanDecision::Infeasible`] when nothing fits — turning deadline
-//! handling from "interrupt at timeout" into "don't start what can't
-//! finish". The decision is a pure function of the model and config, so
-//! auto-routing is deterministic and safe to bake into cache keys.
+//! Exact inference wins whenever it fits the budget (`timeout_ms`, else
+//! the cutover); then SMC with `n = ⌈0.25 / target_std_error²⌉` particles
+//! (standard error at most `0.5/√n`); else [`PlanDecision::Infeasible`].
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
 use bayonet_net::opt::model_facts;
-use bayonet_net::{Model, SchedKind};
+use bayonet_net::{scheduler_for, Model, SchedKind, Scheduler};
 
-use crate::engine::EngineKind;
+use crate::engine::{
+    enumerate_from, step_bound, Analysis, EngineKind, EngineStats, EnumState, ExactError,
+    ExactOptions,
+};
 
-/// Damping exponent applied to the raw per-step branching product:
-/// configuration merging absorbs most of the raw growth. Fitted on the
-/// curated corpus (gossip_k4 raw ≈ 15 → effective 1.70, gossip_k5 raw ≈ 26
-/// → effective 1.93; both fit `raw^0.2` within a few percent).
-const ALPHA: f64 = 0.2;
+/// Expansions a pilot may run. Every program in the engine matrix
+/// enumerates in fewer (the largest, ecmp under the uniform scheduler,
+/// takes 2770), so its pilot finishes and the count is exact; past the cap
+/// the extrapolation stays within 4× on gossip over five nodes.
+pub const PILOT_EXPANSIONS: u64 = 4096;
 
-/// Tuning knobs for the cost model. The defaults are calibrated on the
-/// reference host (see `docs/PERFORMANCE.md` § Planner); they only steer
-/// routing and admission — posteriors never depend on them.
+/// Smallest mean handler branching at which the diagram engine beats
+/// enumeration on a deterministic scheduler: in the engine matrix it wins
+/// gossip (7.5) and loses every program branching 1.35–1.67.
+const DIAGRAM_MIN_BRANCHING: f64 = 2.0;
+
+/// Cost constants of the planner. They steer routing and admission only;
+/// posteriors never depend on them.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
-    /// Wall-clock cost of one enumeration expansion (calibrated ~10 µs:
-    /// measured 3–40 µs across the corpus, dominated by handler
-    /// re-enumeration and exact arithmetic).
+    /// Wall-clock cost of one enumeration expansion (3–16 µs measured).
     pub ns_per_expansion: u64,
     /// Wall-clock cost of one node-step of one particle in the SMC engine.
     pub ns_per_particle_step: u64,
-    /// Constant compilation overhead of the BDD backend (store setup,
-    /// variable ordering, first-diagram construction).
-    pub bdd_base_ns: u64,
-    /// With no request deadline, exact estimates above this cutover route
-    /// to SMC instead (default 60 s — matches the paper's experiments,
-    /// which switch to sampling when exact inference stops terminating
-    /// "within hours").
+    /// With no deadline, exact estimates above this route to SMC (60 s).
     pub smc_cutover_ns: u64,
-    /// Target standard error for SMC posterior estimates; the particle
-    /// count is `⌈0.25 / target_std_error²⌉` clamped to
-    /// [`PlannerConfig::min_particles`]..[`PlannerConfig::max_particles`].
-    /// Default 0.015 → 1112 particles (vs the paper's fixed 1000).
+    /// SMC target standard error: 0.015 gives 1112 particles (paper: 1000).
     pub target_std_error: f64,
     /// Lower clamp on the error-bounded particle count.
     pub min_particles: usize,
     /// Upper clamp on the error-bounded particle count.
     pub max_particles: usize,
-    /// Per-step frontier cap used in the geometric sum (mirrors
-    /// `ExactOptions::max_configs`: growth cannot exceed the config limit).
-    pub max_frontier: f64,
 }
 
 impl Default for PlannerConfig {
@@ -93,12 +66,10 @@ impl Default for PlannerConfig {
         PlannerConfig {
             ns_per_expansion: 10_000,
             ns_per_particle_step: 2_000,
-            bdd_base_ns: 10_000_000,
             smc_cutover_ns: 60_000_000_000,
             target_std_error: 0.015,
             min_particles: 100,
             max_particles: 100_000,
-            max_frontier: 4_000_000.0,
         }
     }
 }
@@ -131,55 +102,125 @@ impl PlanEngine {
 pub enum PlanDecision {
     /// Run this engine; the estimate fits the budget.
     Run(PlanEngine),
-    /// No engine's estimate fits the deadline budget: reject before doing
-    /// any engine work. Carries the cheapest estimate so the caller can say
-    /// how much time the request *would* need.
+    /// No engine fits: reject before any engine work.
     Infeasible {
         /// Estimated cost of the cheapest eligible engine, in nanoseconds.
         needed_ns: u64,
     },
 }
 
-/// The raw signals the cost model extracted from the compiled program.
-/// Exposed for `--explain-plan` and the golden tests.
+/// Structural signals read off the compiled program (`--explain-plan`).
 #[derive(Debug, Clone)]
 pub struct PlanSignals {
     /// Topology node count.
     pub nodes: usize,
-    /// Topology link count (undirected).
-    pub links: usize,
-    /// Input/output queue capacity bound.
-    pub queue_capacity: usize,
-    /// Scheduler-step horizon: the program's `num_steps`, else `4·nodes+2`.
-    pub horizon: u64,
-    /// `flip` sites across all distinct programs.
-    pub flip_sites: usize,
-    /// `uniform` sites across all distinct programs.
-    pub uniform_sites: usize,
-    /// `dup` sites (each grows queue occupancy, lengthening the run).
-    pub dup_sites: usize,
-    /// Scheduler branching factor (probabilistic schedulers split mass).
+    /// Scheduler branching: 2 when probabilistic, 1 for round-robin, rotor.
     pub sched_branching: f64,
-    /// Mean complete-execution count of one handler run (flip ×2,
-    /// uniform ×span, averaged over nodes).
+    /// Mean executions of one handler run (flip ×2, uniform ×span).
     pub handler_branching: f64,
-    /// Effective per-step frontier growth after merging:
-    /// `(sched × handler) ^ 0.2`.
-    pub effective_branching: f64,
-    /// Size of the largest group of nodes sharing one program `Arc` — the
-    /// symmetry the BDD backend exploits (0 when no sharing).
+    /// Size of the largest group of nodes sharing one program `Arc`.
     pub shared_program_nodes: usize,
-    /// Order of the model's automorphism group, from the pass pipeline
-    /// (1 when the model is unoptimized or the group is trivial). Orbit
-    /// canonicalization divides the explored frontier by up to this factor.
+    /// Packets can be at several nodes at once (2+ init packets, or `dup`).
+    pub concurrent_packets: bool,
+    /// Automorphism group order (1 unoptimized); orbits shrink frontiers.
     pub symmetry_group_order: u64,
-    /// Size of the largest node orbit under that group (0 when trivial).
-    /// When present this replaces the Arc-sharing heuristic as the BDD
-    /// backend's structure-sharing signal: it is the *proven* count of
-    /// interchangeable nodes, not a syntactic proxy.
-    pub symmetry_largest_orbit: usize,
     /// Whether unbound symbolic parameters remain (rules out SMC).
     pub symbolic_params: bool,
+}
+
+/// The opening steps of an enumeration run, single-threaded, stopped
+/// before the step that would pass the expansion cap: bounded, and a pure
+/// function of the model unless the deadline cuts it short.
+/// [`Pilot::resume`] finishes the run.
+#[derive(Debug, Clone, Default)]
+pub struct Pilot {
+    /// `None` when an engine error (the deadline's included) ended the
+    /// pilot; resuming then runs from scratch, which reproduces the error.
+    state: Option<EnumState>,
+    /// Configurations the next step would expand (0 when finished).
+    frontier: u64,
+    /// Steps since the frontier last stood at its narrowest: how long the
+    /// current widening has lasted.
+    rise: u64,
+    /// Counters of the steps the pilot ran.
+    pub stats: EngineStats,
+    /// The run's outcome is known (fixpoint, or an error other than the
+    /// deadline's): counts are exact.
+    pub finished: bool,
+    /// The deadline expired during the pilot.
+    interrupted: bool,
+}
+
+impl Pilot {
+    /// Runs the opening steps of `model`'s enumeration under `opts` (its
+    /// threads and pool are ignored), at most `cap` expansions.
+    fn run(model: &Model, opts: &ExactOptions, cap: u64) -> Pilot {
+        let opts = ExactOptions {
+            threads: 1,
+            pool: None,
+            ..opts.clone()
+        };
+        let scheduler = scheduler_for(model);
+        let bound = step_bound(model, &opts);
+        let mut pilot = Pilot {
+            finished: true,
+            ..Pilot::default()
+        };
+        let Ok(mut state) = EnumState::init(model, &*scheduler, &opts) else {
+            return pilot;
+        };
+        let mut narrowest = usize::MAX;
+        while !state.done() && state.stats.expansions + state.frontier_len() as u64 <= cap {
+            let width = state.frontier_len();
+            if width <= narrowest {
+                (narrowest, pilot.rise) = (width, 0);
+            }
+            pilot.rise += 1;
+            pilot.stats = state.stats.clone();
+            if let Err(e) = state.step(model, &*scheduler, &opts, 1, bound) {
+                if matches!(e, ExactError::Interrupted { .. }) {
+                    (pilot.interrupted, pilot.finished) = (true, false);
+                    pilot.frontier = width as u64;
+                }
+                return pilot;
+            }
+        }
+        Pilot {
+            frontier: state.frontier_len() as u64,
+            finished: state.done(),
+            stats: state.stats.clone(),
+            state: Some(state),
+            ..pilot
+        }
+    }
+
+    /// The run's expansion count: exact when the pilot finished. Otherwise
+    /// the frontier is assumed to narrow as slowly as it widened, keeping
+    /// its last width for as many steps as it has been widening, so a long
+    /// narrow prefix adds nothing. Frontiers are counted after merging and
+    /// orbit canonicalization. Growth still under way is not projected:
+    /// past the cap, gossip on six or more nodes is underestimated.
+    pub fn est_expansions(&self) -> u64 {
+        self.stats.expansions + self.frontier.saturating_mul(self.rise.max(1))
+    }
+
+    /// The run's global step count, extrapolated like
+    /// [`Pilot::est_expansions`].
+    pub fn est_steps(&self) -> u64 {
+        self.stats.steps + if self.finished { 0 } else { self.rise.max(1) }
+    }
+
+    /// Continues the pilot to the fixpoint: the [`Analysis`], counters
+    /// included, of an enumeration run of `model` (the pilot's) under
+    /// `opts` (its planning options; deadline, threads and pool may differ).
+    pub fn resume(
+        self,
+        model: &Model,
+        scheduler: &dyn Scheduler,
+        opts: &ExactOptions,
+    ) -> Result<Analysis, ExactError> {
+        enumerate_from(self.state, model, scheduler, opts)
+    }
 }
 
 /// A routing decision with its supporting estimates.
@@ -187,25 +228,25 @@ pub struct PlanSignals {
 pub struct Plan {
     /// The decision: an engine to run, or an up-front rejection.
     pub decision: PlanDecision,
-    /// Estimated total enumeration expansions over the horizon.
+    /// Enumeration expansions of the whole run (see
+    /// [`Pilot::est_expansions`]).
     pub est_expansions: u64,
     /// Estimated cost of the chosen engine (of the cheapest one when
     /// infeasible), in nanoseconds.
     pub est_cost_ns: u64,
-    /// Estimated enumeration cost, in nanoseconds.
-    pub est_enum_ns: u64,
-    /// Estimated BDD cost; `None` when the backend is ineligible
-    /// (>64 nodes, or no program sharing to exploit).
-    pub est_bdd_ns: Option<u64>,
+    /// Estimated exact cost in nanoseconds, for either exact engine (the
+    /// diagram engine is chosen only where the matrix shows it no slower).
+    pub est_exact_ns: u64,
     /// Estimated SMC cost; `None` when symbolic parameters rule it out.
     pub est_smc_ns: Option<u64>,
-    /// Error-bounded particle count for the SMC route (present whenever SMC
-    /// is eligible, whether or not it was chosen).
+    /// Error-bounded particle count whenever SMC is eligible.
     pub particles: Option<usize>,
-    /// The extracted signals.
+    /// The structural signals.
     pub signals: PlanSignals,
     /// The deadline budget the decision was made against, if any.
     pub budget_ns: Option<u64>,
+    /// The measurement behind the estimates.
+    pub pilot: Pilot,
 }
 
 impl Plan {
@@ -219,58 +260,50 @@ impl Plan {
 
     /// Multi-line human-readable rendering (the CLI's `--explain-plan`).
     pub fn explain(&self) -> String {
+        let fmt_ns = |ns: u64| format!("{:.1}ms", ns as f64 / 1e6);
+        let budget = self.budget_ns.map_or("unlimited".into(), fmt_ns);
         let mut out = String::new();
-        match self.decision {
-            PlanDecision::Run(e) => {
-                let _ = writeln!(
-                    out,
-                    "plan: engine={} est_cost={} est_expansions={} budget={}",
-                    e.name(),
-                    fmt_ns(self.est_cost_ns),
-                    self.est_expansions,
-                    self.budget_ns.map_or("unlimited".into(), fmt_ns),
-                );
-            }
-            PlanDecision::Infeasible { needed_ns } => {
-                let _ = writeln!(
-                    out,
-                    "plan: infeasible — cheapest engine needs {} but budget is {}",
-                    fmt_ns(needed_ns),
-                    self.budget_ns.map_or("unlimited".into(), fmt_ns),
-                );
-            }
-        }
+        let _ = match self.decision {
+            PlanDecision::Run(e) => writeln!(
+                out,
+                "plan: engine={} est_cost={} est_expansions={} budget={budget}",
+                e.name(),
+                fmt_ns(self.est_cost_ns),
+                self.est_expansions,
+            ),
+            PlanDecision::Infeasible { needed_ns } => writeln!(
+                out,
+                "plan: infeasible — cheapest engine needs {} but budget is {budget}",
+                fmt_ns(needed_ns),
+            ),
+        };
+        let p = &self.pilot;
+        let _ = writeln!(
+            out,
+            "  pilot: steps={} expansions={} finished={} (cap {PILOT_EXPANSIONS})",
+            p.stats.steps, p.stats.expansions, p.finished
+        );
         let s = &self.signals;
         let _ = writeln!(
             out,
-            "  signals: nodes={} links={} queue_capacity={} horizon={} \
-             flips={} uniforms={} dups={} sched_branching={:.1} \
-             handler_branching={:.2} effective_branching={:.3} \
-             shared_program_nodes={} symmetry_order={} symmetry_orbit={} \
+            "  signals: nodes={} sched_branching={:.1} handler_branching={:.2} \
+             shared_program_nodes={} concurrent_packets={} symmetry_order={} \
              symbolic_params={}",
             s.nodes,
-            s.links,
-            s.queue_capacity,
-            s.horizon,
-            s.flip_sites,
-            s.uniform_sites,
-            s.dup_sites,
             s.sched_branching,
             s.handler_branching,
-            s.effective_branching,
             s.shared_program_nodes,
+            s.concurrent_packets,
             s.symmetry_group_order,
-            s.symmetry_largest_orbit,
             s.symbolic_params,
         );
         let _ = writeln!(
             out,
-            "  estimates: enum={} bdd={} smc={}",
-            fmt_ns(self.est_enum_ns),
-            self.est_bdd_ns
-                .map_or("ineligible".into(), |ns| fmt_ns(ns).to_string()),
+            "  estimates: exact={} ({}) smc={}",
+            fmt_ns(self.est_exact_ns),
+            exact_engine(s).name(),
             match (self.est_smc_ns, self.particles) {
-                (Some(ns), Some(p)) => format!("{} ({p} particles)", fmt_ns(ns)),
+                (Some(ns), Some(n)) => format!("{} ({n} particles)", fmt_ns(ns)),
                 _ => "ineligible (symbolic params)".into(),
             },
         );
@@ -278,26 +311,10 @@ impl Plan {
     }
 }
 
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.1}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.1}ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.1}us", ns as f64 / 1e3)
-    }
-}
-
-/// Extracts the cost-model signals from a compiled model.
-///
-/// An optimized model (see [`bayonet_net::opt::optimize`]) carries its
-/// facts in [`bayonet_net::opt::OptInfo`], gathered once by the pass
-/// pipeline — extraction is then a field read, fixing the old
-/// plan-then-analyze double traversal. Unoptimized models fall back to
-/// [`model_facts`], the *same* implementation the pipeline uses, so the
-/// two paths cannot diverge.
+/// Extracts the structural signals from a compiled model: read off the pass
+/// pipeline's facts when optimized, else from [`model_facts`], the same
+/// implementation the pipeline uses.
 pub fn extract_signals(model: &Model) -> PlanSignals {
-    let nodes = model.num_nodes();
     let fallback;
     let (facts, symmetry) = match model.opt_info() {
         Some(info) => (&info.facts, info.symmetry.as_ref()),
@@ -306,137 +323,117 @@ pub fn extract_signals(model: &Model) -> PlanSignals {
             (&fallback, None)
         }
     };
-    let (symmetry_group_order, symmetry_largest_orbit) = match symmetry {
-        Some(g) => (g.order() as u64, g.largest_orbit()),
-        None => (1, 0),
-    };
-    let sched_branching = match model.scheduler {
-        SchedKind::Uniform | SchedKind::Weighted(_) => 2.0,
-        SchedKind::Deterministic | SchedKind::Rotor => 1.0,
-    };
-    let handler_branching = facts.handler_branching;
     PlanSignals {
-        nodes,
-        links: model.links().count() / 2,
-        queue_capacity: model.queue_capacity,
-        horizon: model.num_steps.unwrap_or(4 * nodes as u64 + 2),
-        flip_sites: facts.flip_sites,
-        uniform_sites: facts.uniform_sites,
-        dup_sites: facts.dup_sites,
-        sched_branching,
-        handler_branching,
-        effective_branching: (sched_branching * handler_branching).powf(ALPHA).max(1.0),
+        nodes: model.num_nodes(),
+        sched_branching: match model.scheduler {
+            SchedKind::Uniform | SchedKind::Weighted(_) => 2.0,
+            SchedKind::Deterministic | SchedKind::Rotor => 1.0,
+        },
+        handler_branching: facts.handler_branching,
         shared_program_nodes: facts.shared_program_nodes,
-        symmetry_group_order,
-        symmetry_largest_orbit,
+        concurrent_packets: model.init_packets.len() > 1 || facts.dup_sites > 0,
+        symmetry_group_order: symmetry.map_or(1, |g| g.order() as u64),
         symbolic_params: model.has_symbolic_params(),
     }
 }
 
-/// Builds a [`Plan`] for `model` under an optional deadline budget.
-///
-/// The decision is a pure function of `(model, cfg, budget)` — no clocks,
-/// no randomness — so the same request always routes to the same engine and
-/// the choice can be baked into result-cache keys.
-pub fn plan_model(model: &Model, cfg: &PlannerConfig, budget: Option<Duration>) -> Plan {
-    let signals = extract_signals(model);
-
-    // Geometric frontier growth over the horizon, capped per step.
-    let b = signals.effective_branching;
-    let mut est_expansions = 0.0f64;
-    let mut frontier = 1.0f64;
-    for _ in 0..signals.horizon.min(100_000) {
-        frontier = (frontier * b).min(cfg.max_frontier);
-        est_expansions += frontier;
-        if est_expansions > 1e15 {
-            break;
-        }
+/// The exact engine for a model with these signals: the diagram engine
+/// where the state factorizes (a deterministic scheduler, and packets at
+/// several nodes sharing a handler that branches), within the backend's
+/// node bound; enumeration everywhere else.
+fn exact_engine(s: &PlanSignals) -> PlanEngine {
+    let factorizes = s.sched_branching <= 1.0
+        && s.concurrent_packets
+        && s.shared_program_nodes >= 2
+        && s.handler_branching >= DIAGRAM_MIN_BRANCHING;
+    if factorizes && s.nodes <= crate::bdd_engine::MAX_NODES {
+        PlanEngine::Bdd
+    } else {
+        PlanEngine::Enum
     }
-    // Orbit canonicalization merges symmetric frontier configurations, so
-    // a non-trivial automorphism group divides the explored frontier by up
-    // to its order.
-    let est_expansions = if signals.symmetry_group_order > 1 {
-        (est_expansions / signals.symmetry_group_order as f64).max(1.0)
-    } else {
-        est_expansions.max(1.0)
-    };
-    let est_enum_ns = (est_expansions * cfg.ns_per_expansion as f64).min(1e18) as u64;
+}
 
-    // BDD: eligible under the backend's flag-packing bound and only worth
-    // the base overhead when there is structure sharing to exploit. A proven
-    // orbit from the pass pipeline overrides the Arc-sharing proxy.
-    let shared = if signals.symmetry_largest_orbit >= 2 {
-        signals.symmetry_largest_orbit
-    } else {
-        signals.shared_program_nodes
-    };
-    let est_bdd_ns = (signals.nodes <= crate::bdd_engine::MAX_NODES && shared >= 2)
-        .then(|| est_enum_ns / shared as u64 + cfg.bdd_base_ns);
+/// Resolves [`EngineKind::Auto`] from the model's structure alone (no
+/// pilot). [`crate::analyze`], sweeps, the serve cache key and
+/// [`plan_model`]'s exact route all make this one choice.
+pub fn choose_exact(model: &Model) -> EngineKind {
+    match exact_engine(&extract_signals(model)) {
+        PlanEngine::Bdd => EngineKind::Bdd,
+        _ => EngineKind::Enum,
+    }
+}
 
-    // SMC: error-bounded particle count from worst-case Bernoulli variance.
+/// Builds a [`Plan`] for `model` under an optional deadline budget, piloting
+/// with default engine options. The decision is a pure function of
+/// `(model, cfg, budget)`: the pilot counts work, it reads no clock.
+pub fn plan_model(model: &Model, cfg: &PlannerConfig, budget: Option<Duration>) -> Plan {
+    plan_with(model, cfg, budget, &ExactOptions::default())
+}
+
+/// [`plan_model`] piloting under `opts` (a request's feasibility cache,
+/// pruning, limits and deadline), so [`Pilot::resume`] with the same
+/// options continues the very run the request asked for. With a budget the
+/// pilot also stops at the budget's worth of expansions: a run unfinished
+/// by then cannot fit, nor can one whose deadline expires mid-pilot.
+pub fn plan_with(
+    model: &Model,
+    cfg: &PlannerConfig,
+    budget: Option<Duration>,
+    opts: &ExactOptions,
+) -> Plan {
+    let signals = extract_signals(model);
+    let budget_ns = budget.map(|d| d.as_nanos().min(u64::MAX as u128) as u64);
+    let ns_per_expansion = cfg.ns_per_expansion.max(1);
+    let cap = budget_ns.map_or(PILOT_EXPANSIONS, |b| {
+        PILOT_EXPANSIONS.min(b / ns_per_expansion)
+    });
+    let pilot = Pilot::run(model, opts, cap);
+    let est_expansions = pilot.est_expansions();
+    // A pilot that ran the budget out leaves the rest of the run to do.
+    let spent = budget_ns.filter(|_| pilot.interrupted).unwrap_or(0);
+    let est_exact_ns = (est_expansions.saturating_mul(ns_per_expansion)).saturating_add(spent);
+
+    // SMC: error-bounded particle count from worst-case Bernoulli variance,
+    // each particle simulating every node for the run's estimated steps.
     let (est_smc_ns, particles) = if signals.symbolic_params {
         (None, None)
     } else {
         let n = (0.25 / (cfg.target_std_error * cfg.target_std_error)).ceil() as usize;
         let n = n.clamp(cfg.min_particles, cfg.max_particles);
-        let steps = signals.horizon.max(1) * signals.nodes.max(1) as u64;
-        (
-            Some(
-                (n as u64)
-                    .saturating_mul(steps)
-                    .saturating_mul(cfg.ns_per_particle_step),
-            ),
-            Some(n),
-        )
+        let node_steps = pilot.est_steps().max(1) * signals.nodes.max(1) as u64;
+        let ns = (n as u64)
+            .saturating_mul(node_steps)
+            .saturating_mul(cfg.ns_per_particle_step);
+        (Some(ns), Some(n))
     };
 
-    // Route: prefer the cheaper exact engine when it fits the budget (or
-    // the no-deadline cutover); fall back to SMC; reject when nothing fits.
-    let exact_best_ns = est_bdd_ns.map_or(est_enum_ns, |b| b.min(est_enum_ns));
-    let exact_engine = match est_bdd_ns {
-        Some(b) if b < est_enum_ns => PlanEngine::Bdd,
-        _ => PlanEngine::Enum,
-    };
-    let budget_ns = budget.map(|d| d.as_nanos().min(u64::MAX as u128) as u64);
-    let exact_limit = budget_ns.unwrap_or(cfg.smc_cutover_ns);
-    let decision = if exact_best_ns <= exact_limit {
-        PlanDecision::Run(exact_engine)
+    // Route: exact when it fits the budget (or the no-deadline cutover);
+    // fall back to SMC; reject when nothing fits.
+    let decision = if est_exact_ns <= budget_ns.unwrap_or(cfg.smc_cutover_ns) {
+        PlanDecision::Run(exact_engine(&signals))
     } else {
         match est_smc_ns {
             Some(smc) if budget_ns.is_none_or(|b| smc <= b) => PlanDecision::Run(PlanEngine::Smc),
             _ => PlanDecision::Infeasible {
-                needed_ns: est_smc_ns.map_or(exact_best_ns, |s| s.min(exact_best_ns)),
+                needed_ns: est_smc_ns.map_or(est_exact_ns, |s| s.min(est_exact_ns)),
             },
         }
     };
     let est_cost_ns = match decision {
-        PlanDecision::Run(PlanEngine::Enum) => est_enum_ns,
-        PlanDecision::Run(PlanEngine::Bdd) => est_bdd_ns.unwrap_or(est_enum_ns),
-        PlanDecision::Run(PlanEngine::Smc) => est_smc_ns.unwrap_or(est_enum_ns),
+        PlanDecision::Run(PlanEngine::Smc) => est_smc_ns.unwrap_or(est_exact_ns),
+        PlanDecision::Run(_) => est_exact_ns,
         PlanDecision::Infeasible { needed_ns } => needed_ns,
     };
 
     Plan {
         decision,
-        est_expansions: est_expansions.min(1e18) as u64,
+        est_expansions,
         est_cost_ns,
-        est_enum_ns,
-        est_bdd_ns,
+        est_exact_ns,
         est_smc_ns,
         particles,
         signals,
         budget_ns,
-    }
-}
-
-/// Resolves [`EngineKind::Auto`] to a concrete exact backend. Used by
-/// [`crate::analyze`] so auto mode works everywhere an `ExactOptions`
-/// travels; the SMC route only exists above this crate (in serve/CLI),
-/// which call [`plan_model`] directly.
-pub fn choose_exact(model: &Model) -> EngineKind {
-    let plan = plan_model(model, &PlannerConfig::default(), None);
-    match plan.engine() {
-        Some(PlanEngine::Bdd) => EngineKind::Bdd,
-        _ => EngineKind::Enum,
+        pilot,
     }
 }

@@ -86,8 +86,8 @@ pub struct SweepPointResult {
 pub struct SweepResult {
     /// The sharing route taken.
     pub route: SweepRoute,
-    /// The backend that ran (after `Auto` resolution on the bound model —
-    /// the same resolution a pointwise run would perform).
+    /// The backend that ran: `Auto` resolves to enumeration, the backend
+    /// with sharing routes, unless the grid has a single point.
     pub engine: EngineKind,
     /// Statistics of the work done once and shared by every point: the
     /// symbolic run ([`SweepRoute::Symbolic`]) or the shared prefix
@@ -167,9 +167,12 @@ pub fn sweep(
     };
     let scheduler = scheduler_for(&base);
 
-    // Resolve `Auto` exactly as a pointwise run would: on the bound model.
-    // Binding structure is identical across points, so the choice is too.
+    // Resolve `Auto` to enumeration whenever there are points to share work
+    // between: the symbolic and prefix routes exist only for it, while the
+    // diagram engine reruns every point. A single point resolves as a
+    // pointwise run would, on the bound model.
     let engine = match opts.engine {
+        EngineKind::Auto if points.len() > 1 => EngineKind::Enum,
         EngineKind::Auto => {
             let mut bound0 = base.clone();
             if let Some(first) = points.first() {

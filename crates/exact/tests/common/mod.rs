@@ -10,7 +10,7 @@ use bayonet_exact::{EngineKind, ExactOptions};
 
 /// The engine this test process runs under: `BAYONET_TEST_ENGINE=bdd`
 /// selects the diagram backend, `auto` the planner-routed backend (the
-/// cost model picks per model, deterministically), anything else (or
+/// planner's structural choice, per model, deterministically), anything else (or
 /// unset) the enumeration default. Unknown values are an error — a typo
 /// silently falling back to the default would quietly skip the whole
 /// matrix leg.

@@ -1,27 +1,38 @@
-//! Golden tests for the static cost-model planner.
+//! Golden tests for the measured planner.
 //!
-//! A table of curated programs pins (a) the engine the planner routes each
-//! one to and (b) that the predicted enumeration cost stays within a
-//! **documented factor of 32** of the measured expansion count from the
-//! engine's own statistics (the CLI's `--stats`). The model is calibrated,
-//! not clairvoyant: it systematically overestimates small state spaces
-//! (merging is most effective there), so the tolerance is wide but the
-//! *routing* — the thing posteriors and deadlines depend on — is pinned
-//! exactly.
+//! The committed engine matrix (`data/engine_matrix.tsv`) pins the engine
+//! `auto` chooses on every `examples/bay` program, and the single-packet
+//! relay chain in `data/`, under every scheduler; a table of curated
+//! programs pins more routes. Both check that the pilot's expansion
+//! estimate stays within a **documented factor of 4** of the count the
+//! enumeration engine reports (the CLI's `--stats`). None of the tests
+//! reads a clock.
 
 use std::time::Duration;
 
+use bayonet_exact::planner::PILOT_EXPANSIONS;
 use bayonet_exact::{
     analyze, plan_model, EngineKind, ExactOptions, PlanDecision, PlanEngine, PlannerConfig,
 };
 use bayonet_lang::parse;
 use bayonet_net::{compile, scheduler_for, Model};
+use bayonet_num::Rat;
 
 mod common;
 
 /// Documented accuracy bound: predicted expansions stay within this factor
 /// of the measured count, in both directions (see docs/PERFORMANCE.md).
-const COST_FACTOR: f64 = 32.0;
+const COST_FACTOR: f64 = 4.0;
+
+/// `source` as if it declared `scheduler <sched>;` (replacing any
+/// declaration it has).
+fn with_scheduler(source: &str, sched: &str) -> String {
+    let kept: Vec<&str> = source
+        .lines()
+        .filter(|line| !line.trim_start().starts_with("scheduler "))
+        .collect();
+    format!("{}\nscheduler {sched};\n", kept.join("\n"))
+}
 
 const TINY: &str = r#"
     packet_fields { dst }
@@ -31,6 +42,21 @@ const TINY: &str = r#"
     query probability(got@B == 1);
     def send(pkt, pt) { if flip(1/3) { fwd(1); } else { drop; } }
     def recv(pkt, pt) state got(0) { got = 1; drop; }
+"#;
+
+const NARROW_THEN_WIDE: &str = r#"
+    packet_fields { ttl }
+    topology { nodes { A, B } links { (A, pt1) <-> (B, pt1) } }
+    programs { A -> draw, B -> bounce }
+    init { packet -> (A, pt1); }
+    query expectation(x@A);
+    def draw(pkt, pt) state x(0) {
+        if pkt.ttl < 500 { pkt.ttl = pkt.ttl + 1; fwd(1); }
+        else { x = uniformInt(1, 6000); fwd(1); }
+    }
+    def bounce(pkt, pt) {
+        if pkt.ttl < 500 { pkt.ttl = pkt.ttl + 1; fwd(1); } else { drop; }
+    }
 "#;
 
 /// Local copy of the `bayonet::scenarios` gossip generator (the core crate
@@ -75,10 +101,11 @@ def gossip(pkt, pt) state infected(0) {{
     )
 }
 
-/// A deterministic relay chain of `n` nodes: one packet hops end to end.
-/// With `n > 64` the BDD backend's `u128` packing bound rules it out, so
-/// the planner must fall back to enumeration no matter how symmetric the
-/// program sharing is.
+/// A round-robin relay chain of `n` nodes sharing one branching handler:
+/// two packets hop end to end, each lost with probability 1/2 at every
+/// hop. Every structural signal says the state factorizes, but with
+/// `n > 64` the diagram engine's `u128` packing bound rules it out, so the
+/// planner must fall back to enumeration.
 fn chain_source(n: usize) -> String {
     let nodes: Vec<String> = (0..n).map(|i| format!("N{i}")).collect();
     let links: Vec<String> = (0..n - 1)
@@ -94,10 +121,10 @@ packet_fields {{ dst }}
 topology {{ nodes {{ {nodes} }} links {{ {links} }} }}
 programs {{ {programs} }}
 scheduler roundrobin;
-init {{ packet -> (N0, pt1); }}
+init {{ packet -> (N0, pt1); packet -> (N0, pt1); }}
 query probability(done@N{last} == 1);
-def relay(pkt, pt) {{ fwd(2); }}
-def sink(pkt, pt) state done(0) {{ done = 1; drop; }}
+def relay(pkt, pt) {{ if flip(1/2) {{ fwd(2); }} else {{ drop; }} }}
+def sink(pkt, pt) state done(0) {{ if flip(1/2) {{ done = 1; }} drop; }}
 "#,
         nodes = nodes.join(", "),
         links = links.join(",\n        "),
@@ -106,62 +133,131 @@ def sink(pkt, pt) state done(0) {{ done = 1; drop; }}
     )
 }
 
+/// Compiles and optimizes `source`, as the serve pipeline and the CLI plan
+/// it.
 fn model_of(source: &str) -> Model {
-    compile(&parse(source).expect("parse")).expect("compile")
+    bayonet_net::opt::optimize(&compile(&parse(source).expect("parse")).expect("compile"))
 }
 
-fn measured_expansions(model: &Model, engine: EngineKind) -> u64 {
-    let opts = ExactOptions {
-        engine,
-        ..ExactOptions::default()
-    };
-    let analysis = analyze(model, &*scheduler_for(model), &opts).expect("analyze");
+fn measured_expansions(model: &Model) -> u64 {
+    let analysis =
+        analyze(model, &*scheduler_for(model), &ExactOptions::default()).expect("analyze");
     analysis.stats.expansions
 }
 
-/// The golden table: program → pinned engine, with predicted-vs-measured
-/// accuracy asserted for every row cheap enough to run under the debug
-/// profile (`measure: false` rows pin routing only; gossip_k5 enumerates
-/// half a million configurations, which the release-mode `regress` harness
-/// times instead).
+/// Asserts the plan's expansion estimate is within [`COST_FACTOR`] of the
+/// enumerated count.
+fn assert_estimate(name: &str, model: &Model) {
+    let plan = plan_model(model, &PlannerConfig::default(), None);
+    let measured = measured_expansions(model).max(1);
+    let ratio = plan.est_expansions as f64 / measured as f64;
+    assert!(
+        (1.0 / COST_FACTOR..=COST_FACTOR).contains(&ratio),
+        "{name}: predicted {} vs measured {measured} expansions (ratio {ratio:.2}) \
+         outside the documented {COST_FACTOR}x envelope\n{}",
+        plan.est_expansions,
+        plan.explain()
+    );
+}
+
+/// Every cell of the committed engine matrix: `auto` picks the cell's
+/// label, the label is within 1.2x of the faster engine's measured time,
+/// and the pilot's estimate is within the documented envelope.
+#[test]
+fn engine_matrix_pins_auto_choice_and_estimates() {
+    let matrix = include_str!("data/engine_matrix.tsv");
+    let mut cells = 0;
+    for line in matrix.lines().filter(|l| !l.starts_with('#')) {
+        let cols: Vec<&str> = line.split('\t').collect();
+        let [program, sched, enum_ms, bdd_ms, label] = cols[..] else {
+            panic!("malformed matrix row {line:?}");
+        };
+        let (enum_ms, bdd_ms): (f64, f64) = (enum_ms.parse().unwrap(), bdd_ms.parse().unwrap());
+        let dir = env!("CARGO_MANIFEST_DIR");
+        let source = std::fs::read_to_string(format!("{dir}/../../examples/bay/{program}.bay"))
+            .or_else(|_| std::fs::read_to_string(format!("{dir}/tests/data/{program}.bay")))
+            .expect("matrix program");
+        let sched = if sched == "det" { "roundrobin" } else { sched };
+        let mut model =
+            compile(&parse(&with_scheduler(&source, sched)).expect("parse")).expect("compile");
+        if model.params.lookup("P_LOSS").is_some() {
+            model.bind_param("P_LOSS", Rat::ratio(1, 4)).unwrap();
+        }
+        let model = bayonet_net::opt::optimize(&model);
+        let name = format!("{program}/{sched}");
+
+        let plan = plan_model(&model, &PlannerConfig::default(), None);
+        let (expect, label_ms) = match label {
+            "bdd" => (PlanEngine::Bdd, bdd_ms),
+            "enum" => (PlanEngine::Enum, enum_ms),
+            other => panic!("unknown label {other:?}"),
+        };
+        assert_eq!(plan.engine(), Some(expect), "{name}\n{}", plan.explain());
+        assert!(
+            label_ms <= 1.2 * enum_ms.min(bdd_ms),
+            "{name}: labelled engine is not within 1.2x of the faster one"
+        );
+        assert_estimate(&name, &model);
+        cells += 1;
+    }
+    assert_eq!(cells, 24, "8 programs x 3 schedulers");
+}
+
+/// The golden table: program → pinned engine, with the estimate checked
+/// for every row cheap enough to enumerate under the debug profile
+/// (`release_only` rows are checked in release builds, which CI runs).
 #[test]
 fn golden_table_pins_routing_and_cost_accuracy() {
     struct Row {
         name: &'static str,
         source: String,
         expect: PlanEngine,
-        measure: bool,
+        release_only: bool,
     }
+    let row = |name, source, expect, release_only| Row {
+        name,
+        source,
+        expect,
+        release_only,
+    };
     let rows = [
-        Row {
-            name: "tiny",
-            source: TINY.to_string(),
-            expect: PlanEngine::Enum,
-            measure: true,
-        },
-        Row {
-            name: "gossip_k4",
-            source: gossip_source(4),
-            expect: PlanEngine::Bdd,
-            measure: true,
-        },
-        Row {
-            name: "gossip_k5",
-            source: gossip_source(5),
-            expect: PlanEngine::Bdd,
-            measure: false,
-        },
-        Row {
-            name: "chain_70_fallback",
-            source: chain_source(70),
-            expect: PlanEngine::Enum,
-            measure: true,
-        },
+        row("tiny", TINY.to_string(), PlanEngine::Enum, false),
+        // A random scheduler couples every node's state: enumeration.
+        row("gossip_k4", gossip_source(4), PlanEngine::Enum, false),
+        row(
+            "gossip_k4_roundrobin",
+            with_scheduler(&gossip_source(4), "roundrobin"),
+            PlanEngine::Bdd,
+            false,
+        ),
+        // 53 257 expansions: past the pilot's cap, so the count is
+        // extrapolated.
+        row(
+            "gossip_k5_roundrobin",
+            with_scheduler(&gossip_source(5), "roundrobin"),
+            PlanEngine::Bdd,
+            true,
+        ),
+        row(
+            "chain_70_fallback",
+            chain_source(70),
+            PlanEngine::Enum,
+            false,
+        ),
+        // 13 001 expansions: a packet bounces 500 times, then a 6000-way
+        // draw widens the frontier for its last two steps. The pilot stops
+        // at the draw; the long narrow prefix must not stretch its
+        // extrapolation.
+        row(
+            "narrow_then_wide",
+            NARROW_THEN_WIDE.into(),
+            PlanEngine::Enum,
+            false,
+        ),
     ];
-    let cfg = PlannerConfig::default();
     for row in &rows {
         let model = model_of(&row.source);
-        let plan = plan_model(&model, &cfg, None);
+        let plan = plan_model(&model, &PlannerConfig::default(), None);
         assert_eq!(
             plan.engine(),
             Some(row.expect),
@@ -171,46 +267,79 @@ fn golden_table_pins_routing_and_cost_accuracy() {
         );
         if row.expect == PlanEngine::Bdd {
             assert!(
-                plan.signals.shared_program_nodes >= 2,
-                "{}: bdd route must rest on the symmetry signal",
+                plan.signals.shared_program_nodes >= 2 && plan.signals.sched_branching == 1.0,
+                "{}: bdd route must rest on shared handlers under a deterministic scheduler",
                 row.name
             );
         }
         if row.name == "chain_70_fallback" {
+            let s = &plan.signals;
             assert!(
-                plan.signals.nodes > 64 && plan.est_bdd_ns.is_none(),
-                "{}: >64 nodes must make bdd ineligible\n{}",
-                row.name,
+                s.nodes > 64
+                    && s.sched_branching == 1.0
+                    && s.concurrent_packets
+                    && s.shared_program_nodes >= 2
+                    && s.handler_branching >= 2.0,
+                "only the node bound may rule the diagram engine out\n{}",
                 plan.explain()
             );
         }
-        if row.measure {
-            let engine = match row.expect {
-                PlanEngine::Bdd => EngineKind::Bdd,
-                _ => EngineKind::Enum,
-            };
-            let measured = measured_expansions(&model, engine).max(1);
-            let ratio = plan.est_expansions as f64 / measured as f64;
-            assert!(
-                (1.0 / COST_FACTOR..=COST_FACTOR).contains(&ratio),
-                "{}: predicted {} vs measured {} expansions (ratio {:.2}) \
-                 outside the documented {}x envelope\n{}",
-                row.name,
-                plan.est_expansions,
-                measured,
-                ratio,
-                COST_FACTOR,
-                plan.explain()
-            );
+        if !row.release_only || !cfg!(debug_assertions) {
+            assert_estimate(row.name, &model);
         }
     }
+}
+
+/// The pilot is the first part of the run: resuming it gives the analysis
+/// and counters of a fresh enumeration, its own work stays within the cap,
+/// and it finishes exactly when the run fits under the cap.
+#[test]
+fn pilot_resumes_into_the_same_run() {
+    for source in [gossip_source(4), with_scheduler(&gossip_source(4), "rotor")] {
+        let model = model_of(&source);
+        let plan = plan_model(&model, &PlannerConfig::default(), None);
+        let pilot = plan.pilot.clone();
+        assert!(pilot.stats.expansions <= PILOT_EXPANSIONS);
+        let scheduler = scheduler_for(&model);
+        let opts = ExactOptions::default();
+        let fresh = analyze(&model, &*scheduler, &opts).expect("fresh run");
+        assert_eq!(pilot.finished, fresh.stats.expansions <= PILOT_EXPANSIONS);
+        if pilot.finished {
+            assert_eq!(plan.est_expansions, fresh.stats.expansions);
+        }
+        let resumed = pilot
+            .resume(&model, &*scheduler, &opts)
+            .expect("resumed run");
+        assert_eq!(resumed.terminals, fresh.terminals);
+        assert_eq!(resumed.discarded, fresh.discarded);
+        let counters = |s: &bayonet_exact::EngineStats| {
+            (
+                s.steps,
+                s.expansions,
+                s.peak_configs,
+                s.merge_hits,
+                s.orbit_merges,
+            )
+        };
+        assert_eq!(counters(&resumed.stats), counters(&fresh.stats));
+    }
+    // A budget stops the pilot at the budget's worth of expansions: 1 ms
+    // at 10 us each.
+    let model = model_of(&gossip_source(4));
+    let plan = plan_model(
+        &model,
+        &PlannerConfig::default(),
+        Some(Duration::from_millis(1)),
+    );
+    assert!(!plan.pilot.finished && plan.pilot.stats.expansions <= 100);
 }
 
 /// `EngineKind::Auto` resolves through the planner inside `analyze`, and
 /// the posterior is bit-identical to the explicitly chosen backend.
 #[test]
 fn auto_engine_matches_explicit_choice() {
-    for source in [TINY.to_string(), gossip_source(4)] {
+    let gossip_rr = with_scheduler(&gossip_source(4), "roundrobin");
+    for source in [TINY.to_string(), gossip_source(4), gossip_rr] {
         let model = model_of(&source);
         let auto = analyze(
             &model,
@@ -246,12 +375,15 @@ fn auto_engine_matches_explicit_choice() {
 /// particle count; symbolic parameters keep the request on exact engines.
 #[test]
 fn budget_routing_and_admission() {
-    let k5 = model_of(&gossip_source(5));
     let cfg = PlannerConfig::default();
 
-    // Exact estimates for gossip_k5 are far beyond 1 s, but SMC is linear
-    // and fits: the planner falls back to sampling.
-    let plan = plan_model(&k5, &cfg, Some(Duration::from_secs(1)));
+    // Gossip on six nodes: the pilot estimates 27 169 expansions (272 ms),
+    // over a 250 ms budget, while 1112 particles over its estimated 16
+    // steps take 214 ms, so the planner samples. (Enumeration really takes
+    // 319 719 expansions: past the cap the estimate is low, see
+    // `Pilot::est_expansions`.)
+    let k6 = model_of(&gossip_source(6));
+    let plan = plan_model(&k6, &cfg, Some(Duration::from_millis(250)));
     assert_eq!(plan.engine(), Some(PlanEngine::Smc), "{}", plan.explain());
     let expected_n = (0.25 / (cfg.target_std_error * cfg.target_std_error)).ceil() as usize;
     assert_eq!(
@@ -261,16 +393,32 @@ fn budget_routing_and_admission() {
 
     // A nanosecond budget admits nothing: structured rejection, with the
     // cheapest estimate attached so the caller can report what was needed.
-    let plan = plan_model(&k5, &cfg, Some(Duration::from_nanos(1)));
+    let plan = plan_model(&k6, &cfg, Some(Duration::from_nanos(1)));
     match plan.decision {
         PlanDecision::Infeasible { needed_ns } => assert!(needed_ns > 1),
         other => panic!("expected infeasible, got {other:?}\n{}", plan.explain()),
     }
+    assert_eq!(plan.pilot.stats.expansions, 0, "no budget, no pilot steps");
 
     // Unlimited budget: exact inference is preferred whenever its estimate
     // sits under the SMC cutover, even when sampling would be cheaper.
+    let k5 = model_of(&with_scheduler(&gossip_source(5), "roundrobin"));
     let plan = plan_model(&k5, &cfg, None);
     assert_eq!(plan.engine(), Some(PlanEngine::Bdd), "{}", plan.explain());
+
+    // A budget the pilot's run fits is admitted: the k=4 fat-tree enumerates
+    // 13 expansions.
+    let fattree = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/bay/fattree_k4.bay"
+    ))
+    .expect("read fattree_k4.bay");
+    let mut fattree = compile(&parse(&fattree).expect("parse")).expect("compile");
+    fattree.bind_param("P_LOSS", Rat::ratio(1, 4)).unwrap();
+    let fattree = bayonet_net::opt::optimize(&fattree);
+    let plan = plan_model(&fattree, &cfg, Some(Duration::from_secs(1)));
+    assert_eq!(plan.engine(), Some(PlanEngine::Enum), "{}", plan.explain());
+    assert!(plan.pilot.finished && plan.est_expansions < 100);
 
     // Symbolic parameters rule sampling out entirely.
     let ecmp = model_of(

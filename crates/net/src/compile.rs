@@ -289,9 +289,13 @@ impl Model {
         self.links.get(&(node, port)).copied()
     }
 
-    /// Iterates over all directed link entries.
+    /// Iterates over all directed link entries, sorted by source
+    /// `(node, port)`, so everything derived from the topology (generated
+    /// PSI and WebPPL code among it) is the same from run to run.
     pub fn links(&self) -> impl Iterator<Item = ((usize, u32), (usize, u32))> + '_ {
-        self.links.iter().map(|(&a, &b)| (a, b))
+        let mut links: Vec<_> = self.links.iter().map(|(&a, &b)| (a, b)).collect();
+        links.sort_unstable();
+        links.into_iter()
     }
 
     /// Binds a symbolic parameter to a concrete value. Subsequent engine

@@ -611,10 +611,6 @@ impl EventLoop {
 
     fn answer_parse_error(&mut self, token: u64, err: &RequestError) {
         let response = match err {
-            RequestError::Io(_) => {
-                self.conn_failed(token);
-                return;
-            }
             RequestError::TooLarge => Response::json(
                 413,
                 r#"{"ok":false,"error":{"kind":"too_large","message":"request exceeds size limits"}}"#,

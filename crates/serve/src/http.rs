@@ -45,8 +45,6 @@ impl Request {
 /// Why a request could not be read.
 #[derive(Debug)]
 pub enum RequestError {
-    /// Transport error (client went away, etc.).
-    Io(io::Error),
     /// The request violates the subset of HTTP this server speaks.
     Malformed(&'static str),
     /// The head or body exceeded its size limit.
@@ -56,16 +54,9 @@ pub enum RequestError {
 impl std::fmt::Display for RequestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RequestError::Io(e) => write!(f, "i/o error: {e}"),
             RequestError::Malformed(m) => write!(f, "malformed request: {m}"),
             RequestError::TooLarge => f.write_str("request too large"),
         }
-    }
-}
-
-impl From<io::Error> for RequestError {
-    fn from(e: io::Error) -> Self {
-        RequestError::Io(e)
     }
 }
 

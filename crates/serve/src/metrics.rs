@@ -100,6 +100,8 @@ struct Inner {
     planner_decisions: BTreeMap<&'static str, u64>,
     /// Requests the planner rejected up front (estimate exceeded budget).
     planner_rejections: u64,
+    /// Enumeration expansions run by planner pilots.
+    planner_pilot_expansions: u64,
     /// Actual/predicted cost ratios of planner-routed runs.
     planner_ratio: [u64; RATIO_BUCKETS.len()],
     planner_ratio_total: u64,
@@ -243,6 +245,15 @@ impl Metrics {
     /// deadline budget; no engine work was started).
     pub fn record_planner_rejection(&self) {
         self.inner.lock().expect("metrics mutex").planner_rejections += 1;
+    }
+
+    /// Records the expansions of one planner pilot (counted here, not in
+    /// the engine totals, also when the run continues from it).
+    pub fn record_pilot(&self, expansions: u64) {
+        self.inner
+            .lock()
+            .expect("metrics mutex")
+            .planner_pilot_expansions += expansions;
     }
 
     /// Records the actual/predicted cost ratio of one planner-routed run.
@@ -711,6 +722,17 @@ impl Metrics {
             inner.planner_rejections
         );
         out.push_str(
+            "# HELP bayonet_planner_pilot_expansions_total Enumeration expansions run \
+             by planner pilots; a run that continues a pilot counts only the rest in \
+             bayonet_engine_expansions_total.\n",
+        );
+        out.push_str("# TYPE bayonet_planner_pilot_expansions_total counter\n");
+        let _ = writeln!(
+            out,
+            "bayonet_planner_pilot_expansions_total {}",
+            inner.planner_pilot_expansions
+        );
+        out.push_str(
             "# HELP bayonet_planner_cost_ratio Actual/predicted wall-clock ratio of \
              planner-routed runs (1.0 = perfect prediction).\n",
         );
@@ -802,6 +824,7 @@ mod tests {
         m.record_planner_decision("bdd");
         m.record_planner_decision("smc");
         m.record_planner_rejection();
+        m.record_pilot(96);
         m.record_planner_ratio(0.4);
         m.record_planner_ratio(3.0);
         let pool = ComputePool::new(8);
@@ -848,6 +871,7 @@ mod tests {
         assert!(text.contains("bayonet_planner_decisions_total{engine=\"bdd\"} 2"));
         assert!(text.contains("bayonet_planner_decisions_total{engine=\"smc\"} 1"));
         assert!(text.contains("bayonet_planner_rejections_total 1"));
+        assert!(text.contains("bayonet_planner_pilot_expansions_total 96"));
         assert!(text.contains("bayonet_planner_cost_ratio_bucket{le=\"0.5\"} 1"));
         assert!(text.contains("bayonet_planner_cost_ratio_bucket{le=\"4\"} 2"));
         assert!(text.contains("bayonet_planner_cost_ratio_count 2"));

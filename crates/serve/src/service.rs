@@ -42,9 +42,9 @@ use std::time::{Duration, Instant};
 
 use bayonet_approx::{rejection, smc, ApproxError, ApproxOptions};
 use bayonet_exact::{
-    analyze, answer_cached, plan_model, synthesize_result, Analysis, ComputePool, EngineKind,
-    EngineStats, ExactError, ExactOptions, FeasibilityCache, Objective, Plan, PlanDecision,
-    PlanEngine, PlannerConfig, QueryResult, SynthesisOptions,
+    analyze, answer_cached, choose_exact, plan_with, synthesize_result, Analysis, ComputePool,
+    EngineKind, EngineStats, ExactError, ExactOptions, FeasibilityCache, Objective, Pilot, Plan,
+    PlanDecision, PlanEngine, PlannerConfig, QueryResult, SynthesisOptions,
 };
 use bayonet_lang::{check, parse, pretty_program, Program};
 use bayonet_net::opt::optimize;
@@ -129,6 +129,10 @@ pub struct ServiceOptions {
 pub struct Service {
     metrics: Arc<Metrics>,
     cache: Arc<Mutex<LruCache<u64, Response>>>,
+    /// Where `"engine": "auto"` requests the planner routed off their
+    /// structural cache key went: [`route_key`] → (routed cache key,
+    /// engine). A repeat finds its answer through it without a pilot.
+    routes: Mutex<LruCache<u64, (u64, Engine)>>,
     /// Shared compute pool for parallel exact expansion; `None` keeps every
     /// request single-threaded regardless of its `threads` hint.
     pool: Option<ComputePool>,
@@ -209,6 +213,7 @@ impl Service {
         Ok(Service {
             metrics,
             cache,
+            routes: Mutex::new(LruCache::new(opts.cache_entries)),
             pool: opts.pool,
             persist,
         })
@@ -445,32 +450,44 @@ impl Service {
         let source = sources.get(&req.source)?;
         let deadline = deadline_within(batch, req.timeout_ms);
 
-        // `"engine": "auto"` resolves to a concrete engine *before* the
-        // cache key is computed, so a planner-routed result and the same
-        // request with the chosen engine spelled out share one cache
-        // entry — and an infeasible deadline is rejected before any
-        // engine work. `/v1/check` never runs an engine and
-        // `/v1/synthesize` always runs the exact enumeration core, so
-        // there auto resolves to the default request's key.
-        let mut plan = None;
-        let mut model = None;
+        // `"engine": "auto"` takes the planner's structural engine choice
+        // *before* the cache key is computed, so a planner-routed result and
+        // the same request with the chosen engine spelled out share one
+        // cache entry, and a hit runs no pilot (nor does a repeat the
+        // planner routed elsewhere, found through `routes`). `/v1/check`
+        // never runs an engine and `/v1/synthesize` always runs the exact
+        // enumeration core, so there auto resolves to the default
+        // request's key.
+        let mut planned = None;
         if req.engine == Engine::Auto && endpoint == "/v1/run" {
-            // Plan against the optimized model: the cost model reads the
-            // pass facts and symmetry signals.
-            let planned = source.bound(req.passes, &req.bindings)?;
-            plan = Some(self.plan(&mut req, &planned, deadline.remaining())?);
-            // Sampling engines run the unoptimized model (see `run`).
-            if req.engine.is_exact() || !req.passes {
-                model = Some(planned);
-            }
+            // Choose on the optimized model: the structure the engines see.
+            let model = source.bound(req.passes, &req.bindings)?;
+            req.engine = match choose_exact(&model) {
+                EngineKind::Bdd => Engine::Bdd,
+                _ => Engine::Exact,
+            };
+            planned = Some(model);
         } else if req.engine == Engine::Auto {
             req.engine = Engine::Exact;
         }
 
         // Batch items use the `/v1/run` key, so they share cache
         // entries with single runs in both directions.
-        let key = req.cache_key(endpoint, &source.canonical);
-        if let Some(mut hit) = self.probe(&[key]) {
+        let mut key = req.cache_key(endpoint, &source.canonical);
+        let (probe_key, engine) = match planned {
+            Some(_) => {
+                let mut routes = self.routes.lock().expect("routes mutex");
+                routes
+                    .get(&route_key(key, req.timeout_ms))
+                    .copied()
+                    .unwrap_or((key, req.engine))
+            }
+            None => (key, req.engine),
+        };
+        if let Some(mut hit) = self.probe(&[probe_key]) {
+            if planned.is_some() {
+                self.metrics.record_planner_decision(engine.name());
+            }
             return Ok(hit.remove(0));
         }
         if batch.expired() {
@@ -480,62 +497,102 @@ impl Service {
                 "batch budget exhausted before this item started",
             ));
         }
-        let response = match endpoint {
-            "/v1/check" => check_response(&source.program)?,
-            "/v1/synthesize" => self.synthesize(&req, source, deadline)?,
-            _ => {
-                let model = match model {
-                    Some(model) => model,
-                    None => source.bound(req.passes && req.engine.is_exact(), &req.bindings)?,
-                };
-                let started = Instant::now();
-                let response = self.run(&req, &model, deadline)?;
-                if let Some(plan) = &plan {
-                    let actual_ns = started.elapsed().as_nanos() as f64;
-                    self.metrics
-                        .record_planner_ratio(actual_ns / plan.est_cost_ns.max(1) as f64);
-                }
+        let response = match (endpoint, planned) {
+            ("/v1/check", _) => check_response(&source.program)?,
+            ("/v1/synthesize", _) => self.synthesize(&req, source, deadline)?,
+            (_, Some(model)) => {
+                let (routed_key, response) =
+                    self.run_planned(&mut req, source, model, deadline, key)?;
+                key = routed_key;
                 response
+            }
+            (_, None) => {
+                let model = source.bound(req.passes && req.engine.is_exact(), &req.bindings)?;
+                self.run(&req, &model, deadline)?
             }
         };
         self.store(key, &response);
         Ok(response)
     }
 
-    /// Routes a request whose `engine` is `auto` through the static cost
-    /// model: rewrites `req.engine` (and, for the SMC route, an absent
-    /// `particles`) so the cache key and the response are identical to an
-    /// explicit request for the chosen engine. Infeasible budgets are the
-    /// structured 422 of [`infeasible`] — no engine work has happened yet
-    /// by design.
-    fn plan(
+    /// Runs a `/v1/run` auto request that missed the cache under its
+    /// structural `key`, returning the response and the key it belongs to.
+    ///
+    /// The pilot runs only where its count can change the outcome: on an
+    /// enumeration route (the SMC cutover; the pilot is the run's own
+    /// first steps, so it costs nothing) and under a budget (admission).
+    /// An infeasible budget (one the pilot ran out, too) is the structured
+    /// 422 of [`infeasible`], with no engine work done; a feasible plan
+    /// whose deadline expired while piloting is the usual 504. The answer is then keyed and produced exactly as
+    /// the explicit request for the engine that computes it: an SMC route
+    /// rewrites `req.engine` (and an absent `particles`), and a diagram
+    /// route whose pilot already enumerated the whole run answers as
+    /// `exact` from it. A route off `key` is remembered in `routes`.
+    fn run_planned(
         &self,
         req: &mut InferenceRequest,
-        model: &Model,
-        budget: Option<Duration>,
-    ) -> Result<Plan, ApiError> {
-        let plan = plan_model(model, &PlannerConfig::default(), budget);
-        match plan.decision {
-            PlanDecision::Run(engine) => {
-                req.engine = match engine {
-                    PlanEngine::Enum => Engine::Exact,
-                    PlanEngine::Bdd => Engine::Bdd,
-                    PlanEngine::Smc => Engine::Smc,
-                };
-                if engine == PlanEngine::Smc && req.particles.is_none() {
-                    // The error-bounded particle count, written into the
-                    // request so the cache key matches an explicit
-                    // `{"engine":"smc","particles":N}` call.
-                    req.particles = plan.particles;
-                }
-                self.metrics.record_planner_decision(req.engine.name());
-                Ok(plan)
-            }
+        source: &Source,
+        model: Model,
+        deadline: Deadline,
+        key: u64,
+    ) -> Result<(u64, Response), ApiError> {
+        let budget = deadline.remaining();
+        if req.engine == Engine::Bdd && budget.is_none() {
+            self.metrics.record_planner_decision(req.engine.name());
+            return Ok((key, self.run(req, &model, deadline)?));
+        }
+        let started = Instant::now();
+        let opts = self.exact_options(req.threads, req.passes, req.engine, deadline.clone());
+        let plan = plan_with(&model, &PlannerConfig::default(), budget, &opts);
+        self.metrics.record_pilot(plan.pilot.stats.expansions);
+        let pilot = match plan.decision {
             PlanDecision::Infeasible { needed_ns } => {
                 self.metrics.record_planner_rejection();
-                Err(infeasible(&plan, needed_ns))
+                return Err(infeasible(&plan, needed_ns));
+            }
+            _ if deadline.expired() => {
+                let s = &plan.pilot.stats;
+                return Err(ExactError::Interrupted {
+                    steps: s.steps,
+                    expansions: s.expansions,
+                }
+                .into());
+            }
+            PlanDecision::Run(PlanEngine::Smc) => {
+                req.engine = Engine::Smc;
+                req.particles = req.particles.or(plan.particles);
+                None
+            }
+            PlanDecision::Run(engine) if engine == PlanEngine::Enum || plan.pilot.finished => {
+                req.engine = Engine::Exact;
+                Some(plan.pilot)
+            }
+            PlanDecision::Run(_) => None,
+        };
+        self.metrics.record_planner_decision(req.engine.name());
+        let routed = req.cache_key("/v1/run", &source.canonical);
+        if routed != key {
+            let route = (routed, req.engine);
+            self.routes
+                .lock()
+                .expect("routes mutex")
+                .insert(route_key(key, req.timeout_ms), route);
+            if let Some(mut hit) = self.probe(&[routed]) {
+                return Ok((routed, hit.remove(0)));
             }
         }
+        let response = match pilot {
+            Some(pilot) => self.run_exact(req, &model, &opts, Some(pilot))?,
+            // Sampling runs the unoptimized model (see `run`).
+            None if req.engine == Engine::Smc && req.passes => {
+                self.run(req, &source.bound(false, &req.bindings)?, deadline)?
+            }
+            None => self.run(req, &model, deadline)?,
+        };
+        let actual_ns = started.elapsed().as_nanos() as f64;
+        self.metrics
+            .record_planner_ratio(actual_ns / plan.est_cost_ns.max(1) as f64);
+        Ok((routed, response))
     }
 
     /// Runs the `/v1/run` engine dispatch on a bound model: optimized for
@@ -549,17 +606,8 @@ impl Service {
         deadline: Deadline,
     ) -> Result<Response, ApiError> {
         if req.engine.is_exact() {
-            self.record_opt(model);
             let opts = self.exact_options(req.threads, req.passes, req.engine, deadline);
-            let (analysis, results) = self.analyze(model, &model.queries, &opts)?;
-            return Ok(posterior_response(
-                req.engine.name(),
-                Vec::new(),
-                &results,
-                &analysis.total_terminal_mass(),
-                &analysis.total_discarded_mass(),
-                Some(&analysis.stats),
-            ));
+            return self.run_exact(req, model, &opts, None);
         }
 
         let opts = ApproxOptions {
@@ -606,6 +654,27 @@ impl Service {
         ))
     }
 
+    /// The exact-engine half of [`Service::run`], continuing from `pilot`
+    /// when the planner's pilot already ran the run's first steps.
+    fn run_exact(
+        &self,
+        req: &InferenceRequest,
+        model: &Model,
+        opts: &ExactOptions,
+        pilot: Option<Pilot>,
+    ) -> Result<Response, ApiError> {
+        self.record_opt(model);
+        let (analysis, results) = self.analyze(model, &model.queries, opts, pilot)?;
+        Ok(posterior_response(
+            req.engine.name(),
+            Vec::new(),
+            &results,
+            &analysis.total_terminal_mass(),
+            &analysis.total_discarded_mass(),
+            Some(&analysis.stats),
+        ))
+    }
+
     fn synthesize(
         &self,
         req: &InferenceRequest,
@@ -617,7 +686,8 @@ impl Service {
         check_query(query_idx, model.queries.len())?;
 
         let opts = self.exact_options(req.threads, req.passes, Engine::Exact, deadline);
-        let (_, results) = self.analyze(&model, &model.queries[query_idx..=query_idx], &opts)?;
+        let (_, results) =
+            self.analyze(&model, &model.queries[query_idx..=query_idx], &opts, None)?;
         let synthesis = synthesize_result(
             &model,
             &results[0],
@@ -821,16 +891,33 @@ impl Service {
         }
     }
 
-    /// Runs the exact engine on `model` and answers `queries`, exporting
-    /// the engine and feasibility-cache metrics.
+    /// Runs the exact engine on `model` (from `pilot`'s state when given)
+    /// and answers `queries`, exporting the engine and feasibility-cache
+    /// metrics. The engine counters take only the work after the pilot,
+    /// which the pilot counter already holds.
     fn analyze(
         &self,
         model: &Model,
         queries: &[CompiledQuery],
         opts: &ExactOptions,
+        pilot: Option<Pilot>,
     ) -> Result<(Analysis, Vec<QueryResult>), ApiError> {
-        let analysis = analyze(model, &*scheduler_for(model), opts)?;
-        self.metrics.record_engine(&analysis.stats);
+        let scheduler = scheduler_for(model);
+        let (analysis, piloted) = match pilot {
+            Some(pilot) => {
+                let piloted = pilot.stats.clone();
+                (pilot.resume(model, &*scheduler, opts)?, piloted)
+            }
+            None => (analyze(model, &*scheduler, opts)?, EngineStats::default()),
+        };
+        let stats = &analysis.stats;
+        self.metrics.record_engine(&EngineStats {
+            steps: stats.steps.saturating_sub(piloted.steps),
+            expansions: stats.expansions.saturating_sub(piloted.expansions),
+            merge_hits: stats.merge_hits.saturating_sub(piloted.merge_hits),
+            orbit_merges: stats.orbit_merges.saturating_sub(piloted.orbit_merges),
+            ..stats.clone()
+        });
         let feasibility = opts.feasibility_cache.as_deref();
         let results = queries
             .iter()
@@ -1035,38 +1122,65 @@ fn query_result_json(result: &QueryResult) -> Json {
     ])
 }
 
-/// The structured 422 for a request whose cheapest cost estimate exceeds
-/// its deadline budget (`"engine": "auto"` only — explicit engines keep the
-/// run-then-interrupt contract). The `plan` object carries the estimates so
-/// the client can raise `timeout_ms` by an informed amount, pick an engine
-/// explicitly, or shrink the program. See `docs/SERVER.md`.
+/// The [`Service`]'s `routes` key of an auto request: its structural
+/// cache key and its `timeout_ms`, the budget the route was planned
+/// against.
+fn route_key(key: u64, timeout_ms: Option<u64>) -> u64 {
+    let mut h = DefaultHasher::new();
+    (key, timeout_ms).hash(&mut h);
+    h.finish()
+}
+
+/// The structured 422 for an `"engine": "auto"` request no engine fits:
+/// the cheapest estimate exceeds its deadline budget, or, with no budget,
+/// exact inference is above the sampling cutover and symbolic parameters
+/// rule sampling out. Explicit engines keep the run-then-interrupt
+/// contract. The `plan` object carries the estimates so the client can
+/// raise `timeout_ms` by an informed amount, pick an engine explicitly, or
+/// shrink the program. See `docs/SERVER.md`.
 fn infeasible(plan: &Plan, needed_ns: u64) -> ApiError {
     let ms = |ns: u64| Json::Num((ns as f64 / 1e6 * 1000.0).round() / 1000.0);
     let mut plan_obj = vec![
         ("needed_ms", ms(needed_ns)),
         ("budget_ms", plan.budget_ns.map_or(Json::Null, ms)),
         ("est_expansions", Json::Num(plan.est_expansions as f64)),
-        ("est_enum_ms", ms(plan.est_enum_ns)),
+        (
+            "pilot_expansions",
+            Json::Num(plan.pilot.stats.expansions as f64),
+        ),
+        ("est_exact_ms", ms(plan.est_exact_ns)),
     ];
-    if let Some(ns) = plan.est_bdd_ns {
-        plan_obj.push(("est_bdd_ms", ms(ns)));
-    }
     if let (Some(ns), Some(particles)) = (plan.est_smc_ns, plan.particles) {
         plan_obj.push(("est_smc_ms", ms(ns)));
         plan_obj.push(("est_smc_particles", Json::Num(particles as f64)));
     }
-    let message = format!(
-        "planner estimates {:.1} ms of work for the cheapest eligible engine but the \
-         deadline budget is {:.1} ms; raise timeout_ms, select an engine explicitly, or \
-         shrink the program",
-        needed_ns as f64 / 1e6,
-        plan.budget_ns.unwrap_or(0) as f64 / 1e6,
-    );
+    let needed_ms = needed_ns as f64 / 1e6;
+    let (kind, message, field) = match plan.budget_ns {
+        Some(budget_ns) => (
+            "infeasible_deadline",
+            format!(
+                "planner estimates {needed_ms:.1} ms of work for the cheapest eligible engine \
+                 but the deadline budget is {:.1} ms; raise timeout_ms, select an engine \
+                 explicitly, or shrink the program",
+                budget_ns as f64 / 1e6,
+            ),
+            "timeout_ms",
+        ),
+        None => (
+            "no_feasible_engine",
+            format!(
+                "no feasible engine: exact inference needs an estimated {needed_ms:.1} ms, \
+                 above the sampling cutover, and sampling cannot answer symbolic parameters; \
+                 bind the parameters, select an engine explicitly, or shrink the program"
+            ),
+            "engine",
+        ),
+    };
     ApiError {
         status: 422,
-        kind: "infeasible_deadline",
+        kind,
         extra: Some(("plan", Json::obj(plan_obj))),
-        ..bad(message, "timeout_ms")
+        ..bad(message, field)
     }
 }
 
@@ -1175,7 +1289,7 @@ enum Engine {
     Bdd,
     Smc,
     Rejection,
-    /// Planner-routed: the static cost model picks exact, bdd, or smc per
+    /// Planner-routed: the measured planner picks exact, bdd, or smc per
     /// request (`crate`-level docs; `bayonet_exact::planner`). Resolved to
     /// a concrete engine *before* the cache key is computed, so an
     /// auto-routed result and the same request with the chosen engine

@@ -309,3 +309,37 @@ fn symbolic_sweep_is_symmetry_reduced() {
     assert_eq!(metric(&text, "bayonet_engine_expansions_total"), 1529);
     handle.shutdown();
 }
+
+/// `"engine": "auto"` sweeps take a route that shares work: on the gossip
+/// threshold sweep the symbolic route, under every scheduler, including
+/// the round-robin and rotor ones whose single runs `auto` sends to the
+/// diagram engine.
+#[test]
+fn auto_sweeps_share_work_under_every_scheduler() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/bay/gossip_k4_sweep.bay"
+    );
+    let source = std::fs::read_to_string(path).expect("gossip sweep example");
+    let handle = start(common::test_config()).expect("start server");
+    for scheduler in ["uniform", "roundrobin", "rotor"] {
+        let program = Json::Str(format!("{source}\nscheduler {scheduler};\n"));
+        let body =
+            format!("{{\"source\":{program},\"engine\":\"auto\",\"sweep\":{{\"K\":[1,2,3,4]}}}}");
+        let (status, payload) = sweep(handle.addr(), &body);
+        assert_eq!(status, 200, "{scheduler}: {payload}");
+        let frames = parse_frames(&payload);
+        assert_eq!(frames.len(), 4, "{scheduler}: {payload}");
+        for frame in &frames {
+            assert_eq!(frame.status, 200, "{scheduler}: {}", frame.body);
+            let doc = parse_json(&frame.body).expect("frame json");
+            assert_eq!(
+                doc.get("route").and_then(Json::as_str),
+                Some("symbolic"),
+                "{scheduler}: {}",
+                frame.body
+            );
+        }
+    }
+    handle.shutdown();
+}

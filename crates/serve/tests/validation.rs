@@ -450,9 +450,10 @@ fn invalid_items_fail_individually_without_aborting_siblings() {
 }
 
 /// `timeout_ms` must hold even when the time goes into one handler's
-/// branch enumeration: a single `(Run, B)` expansion here replays three
-/// million draws, so a deadline polled only between expansions would let
-/// the request run to completion (tens of seconds) and answer 200.
+/// branch enumeration, for an explicit engine and for `auto`'s pilot: a
+/// single `(Run, B)` expansion here replays three million draws, so a
+/// deadline polled only between expansions would let the request run to
+/// completion (tens of seconds) and answer 200.
 #[test]
 fn deadline_holds_inside_one_handler_enumeration() {
     const WIDE_DRAW: &str = r#"
@@ -465,24 +466,29 @@ fn deadline_holds_inside_one_handler_enumeration() {
         def recv(pkt, pt) state got(0) { got = uniformInt(0, 3000000); drop; }
     "#;
     let handle = start(common::test_config()).expect("start server");
-    let body = Json::obj(vec![
-        ("source", Json::Str(WIDE_DRAW.into())),
-        ("timeout_ms", Json::Num(1000.0)),
-    ])
-    .to_string();
-    let started = std::time::Instant::now();
-    let (status, payload) = http(handle.addr(), &body);
-    let elapsed = started.elapsed();
-    assert_eq!(status, 504, "{payload}");
-    let doc = parse_json(&payload).expect("json body");
-    let kind = doc
-        .get("error")
-        .and_then(|e| e.get("kind"))
-        .and_then(Json::as_str);
-    assert_eq!(kind, Some("timeout"), "{payload}");
-    assert!(
-        elapsed < std::time::Duration::from_secs(3),
-        "answered after {elapsed:?}"
-    );
+    // `auto` pilots the enumeration before routing; the pilot's steps run
+    // under the same deadline.
+    for engine in ["exact", "auto"] {
+        let body = Json::obj(vec![
+            ("source", Json::Str(WIDE_DRAW.into())),
+            ("engine", Json::Str(engine.into())),
+            ("timeout_ms", Json::Num(1000.0)),
+        ])
+        .to_string();
+        let started = std::time::Instant::now();
+        let (status, payload) = http(handle.addr(), &body);
+        let elapsed = started.elapsed();
+        assert_eq!(status, 504, "{engine}: {payload}");
+        let doc = parse_json(&payload).expect("json body");
+        let kind = doc
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str);
+        assert_eq!(kind, Some("timeout"), "{engine}: {payload}");
+        assert!(
+            elapsed < std::time::Duration::from_secs(3),
+            "{engine}: answered after {elapsed:?}"
+        );
+    }
     handle.shutdown();
 }
